@@ -60,7 +60,6 @@ from .regional import (
     LrdPolicy,
     RegionalDataset,
     RegionalResult,
-    grouped_test,
     regional_test,
 )
 from .report import (
@@ -122,7 +121,6 @@ __all__ = [
     "diff_density",
     "expected_null_tie_proportion",
     "grid_rows",
-    "grouped_test",
     "load_grid_config",
     "moment_estimates",
     "moments",

@@ -6,6 +6,11 @@ their numerical values differ. This module defines the comparison rule,
 the trend score built from it, and the per-observation exceedance counts
 that drive every downstream variance formula.
 
+The package's only pairwise array code is two kernels over an (m, n)
+matrix of series: :func:`pair_counts` (score and scoring pairs, any
+direction) and :func:`exceedance_counts` (u/v, symmetric only).
+:func:`pair_score` is the scalar reference they are tested against.
+
 Conventions
 -----------
 All comparisons are exact IEEE comparisons on the pairwise difference,
@@ -18,8 +23,8 @@ boundary modes differ in where a difference of exactly ``d`` lands:
 * ``boundary="lt"``: tied only when ``|xi - xj| < d``; a difference of
   exactly ``d`` counts. Under this mode at ``d = 0``, a pair of exactly
   equal values scores 0 but is counted as an exceedance from both sides
-  in :func:`uv_counts`. See that function's note before relying on the
-  counts of heavily duplicated data.
+  in :func:`exceedance_counts`. See that function's note before relying
+  on the counts of heavily duplicated data.
 
 A zero difference is a tie under every rule, including the
 one-directional ones: the score carries a sign factor, and sign(0) = 0.
@@ -161,10 +166,81 @@ def pair_score(xi: float, xj: float, rule: LrdRule) -> int:
     return 1
 
 
-def _pair_deltas(values: np.ndarray) -> np.ndarray:
-    """Differences xj - xi over all time-ordered pairs i < j."""
-    i, j = np.triu_indices(len(values), k=1)
-    return values[j] - values[i]
+def pair_counts(rows: np.ndarray, rule: LrdRule) -> tuple[np.ndarray, np.ndarray]:
+    """Trend score and scoring-pair count of each row of an (m, n) matrix.
+
+    Each row is one series in time order. Over its n(n-1)/2 pairs i < j,
+    ``up`` counts the pairs that :func:`pair_score` scores +1 and ``down``
+    those it scores -1, so ``s = up - down`` and ``scoring = up + down``.
+    Works under every direction; a zero difference never scores.
+
+    Args:
+        rows: Matrix of shape (m, n), one series per row.
+        rule: Comparison policy.
+
+    Returns:
+        Pair of integer arrays of length m: (s, scoring).
+
+    Examples:
+        >>> dbp = [90.9, 95.2, 98.6, 95.8, 100.7, 94.9, 92.8, 101.5, 99.0, 98.7]
+        >>> s, scoring = pair_counts(np.array([dbp]), LrdRule(d=0.6))
+        >>> int(s[0]), int(scoring[0])
+        (14, 40)
+    """
+    i, j = np.triu_indices(rows.shape[1], k=1)
+    deltas = rows[:, j]
+    deltas -= rows[:, i]  # later minus earlier; in place, the largest array here
+    # a one-directional rule counts every move in its unthresholded direction
+    d_up = 0.0 if rule.direction == "negative_only" else rule.d
+    d_down = 0.0 if rule.direction == "positive_only" else rule.d
+    # a zero difference never scores, so "lt" at d = 0 compares like "leq"
+    lt = rule.boundary == "lt"
+    up = deltas >= d_up if lt and d_up > 0 else deltas > d_up
+    down = deltas <= -d_down if lt and d_down > 0 else deltas < -d_down
+    n_up = np.count_nonzero(up, axis=1)
+    n_down = np.count_nonzero(down, axis=1)
+    return n_up - n_down, n_up + n_down
+
+
+def exceedance_counts(rows: np.ndarray, rule: LrdRule) -> tuple[np.ndarray, np.ndarray]:
+    """Per-observation exceedance counts (u, v) of each row of an (m, n) matrix.
+
+    ``u[k, i]`` counts the observations of row k that value i relevantly
+    exceeds; ``v[k, i]`` counts those it relevantly falls below. Every
+    relevantly different pair lands once in some u entry and once in
+    some v entry, so the row totals match.
+
+    Only defined for the symmetric rule: the variance formulas built on
+    these counts have no one-directional counterpart, so those rules
+    must use the permutation test instead.
+
+    Note:
+        Under boundary "lt" at ``d = 0``, a pair of exactly equal values
+        satisfies "exceeds by at least 0" from both sides and therefore
+        contributes to u and v twice (once per side). That inflates the
+        totals relative to the exact-tie bookkeeping of the classical
+        test, and it is intentional: it matches how published regional
+        benchmark values were computed. The default "leq" boundary has
+        no such quirk, and an observation is never compared with itself.
+
+    Args:
+        rows: Matrix of shape (m, n), one series per row.
+        rule: Comparison policy (symmetric only).
+
+    Returns:
+        Pair of integer arrays of shape (m, n).
+    """
+    if rule.direction != "symmetric":
+        raise AnalyticUnavailable(
+            "u/v counts (and the analytic variance) are defined for the "
+            "symmetric rule only; use the permutation test for "
+            f"direction={rule.direction!r}"
+        )
+    diff = rows[:, :, None] - rows[:, None, :]
+    hit = _exceeds(diff, rule.d, rule.boundary)
+    diagonal = np.arange(rows.shape[1])
+    hit[:, diagonal, diagonal] = False
+    return hit.sum(axis=2, dtype=np.int64), hit.sum(axis=1, dtype=np.int64)
 
 
 def s_extended(series: Series, rule: LrdRule) -> int:
@@ -180,60 +256,15 @@ def s_extended(series: Series, rule: LrdRule) -> int:
     Returns:
         Integer in [-n(n-1)/2, n(n-1)/2].
     """
-    deltas = _pair_deltas(series.values)
-    if rule.direction == "symmetric":
-        hit = _exceeds(np.abs(deltas), rule.d, rule.boundary)
-        return int(np.sum(np.sign(deltas) * hit))
-    if rule.direction == "positive_only":
-        up = (deltas > 0) & _exceeds(deltas, rule.d, rule.boundary)
-        down = deltas < 0
-    else:
-        up = deltas > 0
-        down = (deltas < 0) & _exceeds(-deltas, rule.d, rule.boundary)
-    return int(np.sum(up) - np.sum(down))
+    s, _ = pair_counts(series.values[None, :], rule)
+    return int(s[0])
 
 
 def uv_counts(series: Series, rule: LrdRule) -> tuple[np.ndarray, np.ndarray]:
-    """Per-observation exceedance counts (u, v).
-
-    ``u[i]`` counts the observations that value i relevantly exceeds;
-    ``v[i]`` counts those it relevantly falls below. Every relevantly
-    different pair lands once in some u entry and once in some v entry,
-    so the totals match.
-
-    Only defined for the symmetric rule: the variance formulas built on
-    these counts have no one-directional counterpart, so those rules
-    must use the permutation test instead.
-
-    Note:
-        Under boundary "lt" at ``d = 0``, a pair of exactly equal values
-        satisfies "exceeds by at least 0" from both sides and therefore
-        contributes to u and v twice (once per side). That inflates the
-        totals relative to the exact-tie bookkeeping of the classical
-        test, and it is intentional: it matches how published regional
-        benchmark values were computed. The default "leq" boundary has
-        no such quirk.
-
-    Args:
-        series: Observations in time order.
-        rule: Comparison policy (symmetric only).
-
-    Returns:
-        Pair of integer arrays of length n.
-    """
-    if rule.direction != "symmetric":
-        raise AnalyticUnavailable(
-            "u/v counts (and the analytic variance) are defined for the "
-            "symmetric rule only; use the permutation test for "
-            f"direction={rule.direction!r}"
-        )
-    values = series.values
-    diff = values[:, None] - values[None, :]
-    hit = _exceeds(diff, rule.d, rule.boundary)
-    np.fill_diagonal(hit, False)
-    u = hit.sum(axis=1)
-    v = hit.sum(axis=0)
-    return u.astype(np.int64), v.astype(np.int64)
+    """Per-observation exceedance counts (u, v) of one series: the m = 1
+    case of :func:`exceedance_counts`, two integer arrays of length n."""
+    u, v = exceedance_counts(series.values[None, :], rule)
+    return u[0], v[0]
 
 
 def tie_proportion(series: Series, rule: LrdRule) -> float:
@@ -243,7 +274,7 @@ def tie_proportion(series: Series, rule: LrdRule) -> float:
     default boundary this equals (maxS - sum(u)) / maxS with
     maxS = n(n-1)/2; the count-based form is used directly because the
     u-based expression can leave [0, 1] in the boundary="lt", d=0,
-    duplicated-values corner described in :func:`uv_counts`.
+    duplicated-values corner described in :func:`exceedance_counts`.
 
     Args:
         series: Observations in time order.
@@ -256,8 +287,6 @@ def tie_proportion(series: Series, rule: LrdRule) -> float:
         raise AnalyticUnavailable(
             "tie_proportion is defined for the symmetric rule only"
         )
-    deltas = _pair_deltas(series.values)
-    hit = _exceeds(np.abs(deltas), rule.d, rule.boundary)
-    # equal values are ties even when "lt" makes |0| >= 0 an exceedance
-    tied = np.sum(~hit | (deltas == 0))
-    return float(tied / len(deltas))
+    _, scoring = pair_counts(series.values[None, :], rule)
+    pairs = len(series) * (len(series) - 1) // 2
+    return float((pairs - scoring[0]) / pairs)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import LrdRule, Series, s_extended, tie_proportion, uv_counts
+from .core import LrdRule, Series, pair_counts, uv_counts
 from .errors import AnalyticUnavailable, InputError
 from .variance import var_classical, var_extended_hat, tie_groups
 
@@ -76,13 +76,15 @@ def p_value(z: float, sidedness: str = "two_sided") -> float:
     return 0.5 * math.erfc(-z / sqrt2)
 
 
-def tau_extended(s_ex: int, u, n: int) -> tuple[float, float | None]:
+def tau_extended(s_ex: int, scoring, n: int) -> tuple[float, float | None]:
     """Rank-correlation style effect sizes for the thresholded score.
 
     tau_a divides by the total number of pairs. tau_b divides by the
     geometric mean of the unthresholded pair count and the count of
     pairs the threshold leaves active, mirroring the tie-corrected
-    denominator of the classical coefficient.
+    denominator of the classical coefficient. ``scoring`` counts the
+    pairs that score +/-1; an array is summed, so the u counts serve
+    under the default boundary ("lt" at d = 0 counts exact ties twice).
 
     Returns:
         (tau_a, tau_b); tau_b is None when no pair clears the threshold.
@@ -91,13 +93,10 @@ def tau_extended(s_ex: int, u, n: int) -> tuple[float, float | None]:
         raise InputError(f"need n >= 2, got {n}")
     pairs = n * (n - 1) / 2.0
     tau_a = s_ex / pairs
-    total_u = float(np.sum(np.asarray(u, dtype=np.int64)))
-    if total_u == 0:
+    active = float(np.sum(np.asarray(scoring, dtype=np.int64)))
+    if active == 0:
         return tau_a, None
-    # sum(u) counts each scoring pair once under the default boundary,
-    # so this is s over the geometric mean of active and total pairs;
-    # it reduces to tau_a when every pair scores
-    tau_b = s_ex / math.sqrt(total_u * pairs)
+    tau_b = s_ex / math.sqrt(active * pairs)
     return tau_a, tau_b
 
 
@@ -165,14 +164,16 @@ def run_test(
             "use permutation_test for one-directional rules"
         )
     n = len(series)
-    s_ex = s_extended(series, rule)
+    s, scoring = pair_counts(series.values[None, :], rule)
+    s_ex, scoring = int(s[0]), int(scoring[0])
     u, v = uv_counts(series, rule)
     variance = var_extended_hat(u, v)
     vclass = var_classical(n, tie_groups(series.values))
     z = z_score(s_ex, variance, continuity=continuity)
     p = p_value(z, sidedness)  # infinite z falls out as p = 0 (or 1)
-    pi_t = tie_proportion(series, rule)
-    tau_a, tau_b = tau_extended(s_ex, u, n)
+    pairs = n * (n - 1) // 2
+    pi_t = (pairs - scoring) / pairs
+    tau_a, tau_b = tau_extended(s_ex, scoring, n)
 
     warns: list[str] = []
     if n < small_n:

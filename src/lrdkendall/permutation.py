@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LrdRule, Series, _exceeds, s_extended
+from .core import LrdRule, Series, pair_counts, s_extended
 from .errors import InputError
 from .inference import SIDEDNESS
 from .regional import LrdPolicy, RegionalDataset
@@ -55,23 +55,6 @@ class PermutationResult:
     null_mean: float
     null_sd: float
     seed: int | None = None
-
-
-def _row_scores(rows: np.ndarray, rule: LrdRule) -> np.ndarray:
-    """Trend score of each row of an (m, n) matrix of value orderings."""
-    n = rows.shape[1]
-    i, j = np.triu_indices(n, k=1)
-    deltas = rows[:, j] - rows[:, i]
-    if rule.direction == "symmetric":
-        hit = _exceeds(np.abs(deltas), rule.d, rule.boundary)
-        return (np.sign(deltas) * hit).sum(axis=1).astype(np.int64)
-    if rule.direction == "positive_only":
-        up = (deltas > 0) & _exceeds(deltas, rule.d, rule.boundary)
-        down = deltas < 0
-    else:
-        up = deltas > 0
-        down = (deltas < 0) & _exceeds(-deltas, rule.d, rule.boundary)
-    return (up.sum(axis=1) - down.sum(axis=1)).astype(np.int64)
 
 
 def _rows_per_chunk(n: int) -> int:
@@ -132,7 +115,7 @@ def permutation_test(
 
     if method == "exhaustive":
         rows = np.array(list(itertools.permutations(series.values)))
-        null_s = _row_scores(rows, rule)
+        null_s, _ = pair_counts(rows, rule)
         hits = _tail_hits(null_s, s_obs, sidedness)
         draws = len(null_s)
         p = hits / draws
@@ -145,7 +128,7 @@ def permutation_test(
             m = min(chunk, replicates - done)
             rng = generator_for(seed, "perm", idx)
             rows = rng.permuted(np.tile(series.values, (m, 1)), axis=1)
-            parts.append(_row_scores(rows, rule))
+            parts.append(pair_counts(rows, rule)[0])
             done += m
             idx += 1
         null_s = np.concatenate(parts)
@@ -204,7 +187,7 @@ def regional_permutation_test(
         for label, series in data.groups.items():
             rng = generator_for(seed, "regional", label, idx)
             rows = rng.permuted(np.tile(series.values, (m, 1)), axis=1)
-            total += _row_scores(rows, rules[label])
+            total += pair_counts(rows, rules[label])[0]
         totals.append(total)
         done += m
         idx += 1

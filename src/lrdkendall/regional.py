@@ -222,14 +222,3 @@ def regional_test(
         continuity=continuity,
         warnings=tuple(warns),
     )
-
-
-def grouped_test(
-    data: RegionalDataset,
-    policy: LrdPolicy | None = None,
-    sidedness: str = "two_sided",
-    **kwargs,
-) -> RegionalResult:
-    """Seasonal-style aggregation: identical to regional_test with
-    groups read as seasons instead of regions."""
-    return regional_test(data, policy, sidedness=sidedness, **kwargs)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .inference import TrendTestResult
 from .permutation import PermutationResult
-from .power import ErrorDensity, PowerPoint
+from .power import PowerPoint
 from .regional import RegionalResult
 from .simulation import CellKey, CellResult
 
@@ -47,14 +47,6 @@ def _clean(value):
     if isinstance(value, (list, tuple)):
         return [_clean(v) for v in value]
     return value
-
-
-def density_label(density: ErrorDensity) -> str:
-    if density.kind == "normal":
-        return f"normal(sd={_sig(density.sigma)})"
-    if density.kind == "uniform":
-        return f"uniform({_sig(density.lower)}, {_sig(density.upper)})"
-    return f"tabulated({len(density.grid_x)} points)"
 
 
 # ── machine form ────────────────────────────────────────────────────────

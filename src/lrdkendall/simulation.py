@@ -7,6 +7,8 @@ are comparable across error scales. Each (distribution, n, error_sd,
 theta, p, d_ratio) cell gets its own deterministic random stream (see
 seeds.py); results are therefore reproducible cell by cell and
 independent of execution order, threading, and which other cells run.
+Pair scores and u/v counts come from the kernels in core.py; chunk
+sizes and generator keys are part of the seeding contract and fixed.
 
 Design notes, fixed on purpose:
 
@@ -35,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import erfc
 
-from .core import LrdRule, Series
+from .core import LrdRule, Series, exceedance_counts, pair_counts, tie_proportion
 from .errors import InputError
 from .permutation import permutation_test
 from .power import ErrorDensity
@@ -155,18 +157,11 @@ def _simulate_chunk(rng, scenario: Scenario, m: int) -> np.ndarray:
     return signal + noise
 
 
-def _test_rows(rows: np.ndarray, d: float, alpha_level: float):
+def _test_rows(rows: np.ndarray, rule: LrdRule, alpha_level: float):
     """Vectorized two-sided test on each row: (reject?, tie proportion)."""
-    m, n = rows.shape
-    i, j = np.triu_indices(n, k=1)
-    deltas = rows[:, j] - rows[:, i]  # later minus earlier, all pairs
-    active = np.abs(deltas) > d
-    s = (np.sign(deltas) * active).sum(axis=1)
-
-    diff = rows[:, :, None] - rows[:, None, :]
-    hit = diff > d  # diagonal is 0 - 0 = 0, never > d for d >= 0
-    u = hit.sum(axis=2)
-    v = hit.sum(axis=1)
+    n = rows.shape[1]
+    s, scoring = pair_counts(rows, rule)
+    u, v = exceedance_counts(rows, rule)
     var = (((u - v) ** 2).sum(axis=1) + u.sum(axis=1)) / 3.0
 
     corrected = s - np.sign(s)
@@ -177,7 +172,7 @@ def _test_rows(rows: np.ndarray, d: float, alpha_level: float):
     p = np.where((var == 0) & (s != 0), 0.0, p)
     p = np.where((var == 0) & (s == 0), 1.0, p)
 
-    return p <= alpha_level, 1.0 - active.mean(axis=1)
+    return p <= alpha_level, 1.0 - scoring / (n * (n - 1) // 2)
 
 
 def run_cell(scenario: Scenario, d_ratio: float) -> CellResult:
@@ -196,11 +191,11 @@ def run_cell(scenario: Scenario, d_ratio: float) -> CellResult:
         p=scenario.p,
         d_ratio=float(d_ratio),
     )
-    d = key.d_ratio * scenario.error_sd
+    rule = LrdRule(d=key.d_ratio * scenario.error_sd)
     chunk = _rows_per_chunk(scenario.n)
 
     if scenario.use_permutation:
-        return _run_cell_permutation(scenario, key, d)
+        return _run_cell_permutation(scenario, key, rule)
 
     rejections = 0
     tie_total = 0.0
@@ -210,7 +205,7 @@ def run_cell(scenario: Scenario, d_ratio: float) -> CellResult:
         m = min(chunk, scenario.replicates - done)
         rng = generator_for(scenario.seed, "sim", *key, idx)
         rows = _simulate_chunk(rng, scenario, m)
-        reject, ties = _test_rows(rows, d, scenario.alpha_level)
+        reject, ties = _test_rows(rows, rule, scenario.alpha_level)
         rejections += int(reject.sum())
         tie_total += float(ties.sum())
         done += m
@@ -225,10 +220,8 @@ def run_cell(scenario: Scenario, d_ratio: float) -> CellResult:
     )
 
 
-def _run_cell_permutation(scenario: Scenario, key: CellKey, d: float) -> CellResult:
+def _run_cell_permutation(scenario: Scenario, key: CellKey, rule: LrdRule) -> CellResult:
     """Permutation-path variant for the heavy-tie regime study."""
-    rule = LrdRule(d=d)
-    pairs = scenario.n * (scenario.n - 1) / 2.0
     rejections = 0
     tie_total = 0.0
     for r in range(scenario.replicates):
@@ -243,9 +236,7 @@ def _run_cell_permutation(scenario: Scenario, key: CellKey, d: float) -> CellRes
             method="sampled",
         )
         rejections += res.p <= scenario.alpha_level
-        deltas = row[None, :] - row[:, None]
-        iu = np.triu_indices(scenario.n, k=1)
-        tie_total += float(np.sum(np.abs(deltas[iu]) <= d)) / pairs
+        tie_total += tie_proportion(series, rule)
 
     rate = rejections / scenario.replicates
     return CellResult(

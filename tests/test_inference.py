@@ -113,6 +113,14 @@ class TestRunTest:
         assert result.n == 10
         assert result.rule == LrdRule(d=0.6)
 
+    def test_tau_b_counts_exact_ties_once_under_lt(self):
+        # at d = 0 "lt" counts the tied pair twice in u; tau_b must not
+        series = Series.from_values([1.0, 1.0, 2.0])
+        lt = run_test(series, LrdRule(d=0.0, boundary="lt"))
+        leq = run_test(series, LrdRule(d=0.0))
+        assert leq.tau_b == pytest.approx(2 / math.sqrt(6))
+        assert lt.tau_b == leq.tau_b
+
     def test_default_rule_is_classical(self):
         series = Series.from_values(DBP)
         assert run_test(series).s_extended == run_test(series, LrdRule(d=0.0)).s_extended

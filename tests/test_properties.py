@@ -32,12 +32,18 @@ from lrdkendall import (
     var_extended_hat,
     z_score,
 )
+from lrdkendall.core import DIRECTIONS, exceedance_counts, pair_counts
 
 int_values = st.lists(
     st.integers(min_value=-50, max_value=50).map(float), min_size=3, max_size=25,
 )
 thresholds = st.integers(min_value=0, max_value=8).map(lambda k: k / 2)
 boundaries = st.sampled_from(["leq", "lt"])
+# m rows of int_values cut to a common length, so duplicates and
+# differences of exactly d occur within and across rows
+matrices = st.lists(int_values, min_size=1, max_size=4).map(
+    lambda rows: np.array([r[: min(map(len, rows))] for r in rows])
+)
 
 
 @given(
@@ -57,6 +63,30 @@ def test_time_reversal_negates_score(values, d, boundary):
     forward = s_extended(Series.from_values(values), rule)
     backward = s_extended(Series.from_values(values[::-1]), rule)
     assert backward == -forward
+
+
+@given(rows=matrices, d=thresholds, boundary=boundaries, direction=st.sampled_from(DIRECTIONS))
+def test_pair_counts_match_scalar_pair_score(rows, d, boundary, direction):
+    rule = LrdRule(d=d, boundary=boundary, direction=direction)
+    s, scoring = pair_counts(rows, rule)
+    n = rows.shape[1]
+    for k, row in enumerate(rows):
+        scores = [pair_score(row[i], row[j], rule) for i in range(n) for j in range(i + 1, n)]
+        assert s[k] == sum(scores)
+        assert scoring[k] == sum(score != 0 for score in scores)
+
+
+@given(rows=matrices, d=thresholds, boundary=boundaries)
+def test_exceedance_counts_match_double_loop(rows, d, boundary):
+    rule = LrdRule(d=d, boundary=boundary)
+    u, v = exceedance_counts(rows, rule)
+    exceeds = (lambda diff: diff > d) if boundary == "leq" else (lambda diff: diff >= d)
+    n = rows.shape[1]
+    for k, row in enumerate(rows):
+        for i in range(n):
+            others = [j for j in range(n) if j != i]
+            assert u[k, i] == sum(exceeds(row[i] - row[j]) for j in others)
+            assert v[k, i] == sum(exceeds(row[j] - row[i]) for j in others)
 
 
 @given(values=int_values, d=thresholds, shift=st.integers(-1000, 1000).map(float))

@@ -10,7 +10,6 @@ from lrdkendall import (
     NoUsableData,
     RegionalDataset,
     Series,
-    grouped_test,
     platelet_donations,
     regional_test,
     run_test,
@@ -198,9 +197,3 @@ class TestRegionalTest:
         )
         result = regional_test(data)
         assert result.excluded_groups == ("c",)
-
-    def test_grouped_alias(self):
-        data = tiny_dataset()
-        a = regional_test(data, LrdPolicy(value=0.5))
-        b = grouped_test(data, LrdPolicy(value=0.5))
-        assert a == b
