@@ -32,7 +32,6 @@ from .errors import (
     InvalidMoments,
     LrdKendallError,
     NoUsableData,
-    QuadratureError,
 )
 from .inference import (
     TrendTestResult,
@@ -110,7 +109,6 @@ __all__ = [
     "NoUsableData",
     "PermutationResult",
     "PowerPoint",
-    "QuadratureError",
     "RegionalDataset",
     "RegionalResult",
     "Scenario",

@@ -39,7 +39,3 @@ class AnalyticUnavailable(LrdKendallError):
 
 class DegenerateRegime(LrdKendallError):
     """All comparisons are ties in distribution; the test statistic is degenerate."""
-
-
-class QuadratureError(LrdKendallError):
-    """Numerical integration failed to converge; details in the message."""

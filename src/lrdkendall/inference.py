@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
 
@@ -74,6 +75,15 @@ def p_value(z: float, sidedness: str = "two_sided") -> float:
     if sidedness == "greater":
         return 0.5 * math.erfc(z / sqrt2)
     return 0.5 * math.erfc(-z / sqrt2)
+
+
+def critical_value(alpha_level: float) -> float:
+    """Two-sided normal critical value, -Phi^-1(alpha_level / 2).
+
+    The |z| at which the two-sided p-value equals alpha_level, so a test
+    of that size rejects when |z| >= critical_value(alpha_level).
+    """
+    return -NormalDist().inv_cdf(alpha_level / 2.0)
 
 
 def tau_extended(s_ex: int, scoring, n: int) -> tuple[float, float | None]:

@@ -8,25 +8,25 @@ The point of the machinery is the tradeoff it exposes: a moderate
 threshold can raise power above the classical d = 0 test, while an
 oversized one destroys it.
 
-Normal and uniform densities use closed forms wherever they exist
-(difference density, single-comparator probabilities, and for the
-uniform all four moments); only the normal triple-comparator moments
-fall back to adaptive quadrature on the infinite domain. Tabulated
-densities are handled with trapezoid sums on a refined grid, which
-limits their accuracy to roughly the grid resolution.
+Normal and uniform densities use closed forms throughout. The normal
+triple-comparator moments are bivariate normal orthant probabilities at
+correlation +1/2 and -1/2, written as Phi(-h)^2 plus a one-dimensional
+integral over a finite angle (Drezner & Wesolowsky 1990; Genz 2004)
+whose smooth integrand a fixed Gauss-Legendre rule evaluates to
+rounding. Tabulated densities are handled with trapezoid sums on a
+refined grid, which limits their accuracy to roughly the grid
+resolution.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.special import ndtri
 
-from .errors import AnalyticUnavailable, DegenerateRegime, InputError, QuadratureError
+from .errors import AnalyticUnavailable, DegenerateRegime, InputError
+from .inference import critical_value
 from .variance import MomentSet
 
 _SQRT2 = math.sqrt(2.0)
@@ -36,6 +36,12 @@ _SQRT_PI = math.sqrt(math.pi)
 NORMALIZATION_TOL = 1e-8
 #: drift denominators at or below this are treated as fully tied
 DENOM_FLOOR = 1e-15
+
+# 32-point Gauss-Legendre rule mapped onto t in [0, pi/6]: sin(t) at the
+# nodes, and weights that fold in the 1/(2 pi) of the orthant formula
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(32)
+_ORTHANT_SIN = np.sin(math.pi / 12.0 * (_GL_X + 1.0))
+_ORTHANT_W = _GL_W / 24.0
 
 
 def _phi(x: float) -> float:
@@ -147,7 +153,9 @@ class ErrorDensity:
         return float(np.clip(np.interp(x, self.grid_x, cum, left=0.0, right=1.0), 0.0, 1.0))
 
     def _cum(self) -> np.ndarray:
-        cum = integrate.cumulative_trapezoid(self.grid_f, self.grid_x, initial=0.0)
+        f = self.grid_f
+        steps = np.diff(self.grid_x) * (f[1:] + f[:-1]) / 2.0
+        cum = np.concatenate(([0.0], np.cumsum(steps)))
         return cum / cum[-1]
 
     def sd(self) -> float:
@@ -168,24 +176,7 @@ class ErrorDensity:
         return (float(self.grid_x[0]), float(self.grid_x[-1]))
 
 
-# ── quadrature ──────────────────────────────────────────────────────────
-
-
-def _quad(fn, lo: float, hi: float) -> float:
-    """scipy.integrate.quad with failures converted to QuadratureError."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", integrate.IntegrationWarning)
-        try:
-            value, abserr = integrate.quad(
-                fn, lo, hi, epsabs=1e-12, epsrel=1e-12, limit=200
-            )
-        except integrate.IntegrationWarning as w:
-            raise QuadratureError(f"quadrature did not converge: {w}") from w
-    if abserr > 1e-8:
-        raise QuadratureError(
-            f"quadrature error estimate {abserr!r} too large for value {value!r}"
-        )
-    return value
+# ── difference density and moments ──────────────────────────────────────
 
 
 def _dense_grid(density: ErrorDensity) -> np.ndarray:
@@ -193,9 +184,6 @@ def _dense_grid(density: ErrorDensity) -> np.ndarray:
     x = density.grid_x
     n = max(4001, 8 * len(x))
     return np.linspace(x[0], x[-1], n)
-
-
-# ── difference density and moments ──────────────────────────────────────
 
 
 def diff_density(density: ErrorDensity, d: float) -> float:
@@ -245,11 +233,6 @@ def moments(density: ErrorDensity, d: float) -> MomentSet:
         above_below = integral of f(x) F(x-d) (1-F(x+d)),
         above_one  = P(X1 - X2 > d).
         At d = 0 every continuous density gives (1/3, 1/3, 1/6, 1/2).
-
-    Raises
-    ------
-    QuadratureError
-        When the normal triple-comparator integrals fail to converge.
     """
     if not np.isfinite(d) or d < 0:
         raise InputError(f"threshold d must be finite and >= 0, got {d!r}")
@@ -267,17 +250,22 @@ def moments(density: ErrorDensity, d: float) -> MomentSet:
         )
 
     if density.kind == "normal":
+        # differences from a shared X1 are N(0, 2 sigma^2) with correlation
+        # 1/2, so each moment is an orthant probability of a standard
+        # bivariate normal at -h = -d / (sigma sqrt 2): Phi(-h)^2 plus
+        # (1/2 pi) * integral from 0 to arcsin(rho) of exp(-h^2 / (1 + sin t))
         s = density.sigma
-        above_one = 0.5 * math.erfc(d / (2 * s))
-        pdf, cdf = density.pdf, density.cdf
-        above_two = _quad(lambda x: pdf(x) * cdf(x - d) ** 2, -math.inf, math.inf)
-        below_two = _quad(
-            lambda x: pdf(x) * (1.0 - cdf(x + d)) ** 2, -math.inf, math.inf
+        above_one = 0.5 * math.erfc(d / (2 * s))  # Phi(-h)
+        h2 = d * d / (2 * s * s)
+        tail = above_one * above_one
+        above_two = tail + float(_ORTHANT_W @ np.exp(-h2 / (1.0 + _ORTHANT_SIN)))
+        # rho = -1/2: the integral runs to -pi/6 and cancels against Phi(-h)^2;
+        # beyond d ~ 8 sigma the true value is below the rounding error of
+        # the difference, which can then come out negative
+        above_below = max(
+            tail - float(_ORTHANT_W @ np.exp(-h2 / (1.0 - _ORTHANT_SIN))), 0.0
         )
-        above_below = _quad(
-            lambda x: pdf(x) * cdf(x - d) * (1.0 - cdf(x + d)), -math.inf, math.inf
-        )
-        return MomentSet(above_two, below_two, above_below, above_one)
+        return MomentSet(above_two, above_two, above_below, above_one)
 
     x = _dense_grid(density)
     fx = np.interp(x, density.grid_x, density.grid_f, left=0.0, right=0.0)
@@ -383,7 +371,7 @@ def power_curve(
     """
     if not 0.0 < alpha_level < 1.0:
         raise InputError(f"alpha_level must be in (0, 1), got {alpha_level!r}")
-    crit = -ndtri(alpha_level / 2.0)
+    crit = critical_value(alpha_level)
     points = []
     for d in np.asarray(d_grid, dtype=float):
         d = float(d)

@@ -35,10 +35,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import erfc
 
 from .core import LrdRule, Series, exceedance_counts, pair_counts, tie_proportion
 from .errors import InputError
+from .inference import critical_value
 from .permutation import permutation_test
 from .power import ErrorDensity
 from .seeds import generator_for
@@ -157,8 +157,12 @@ def _simulate_chunk(rng, scenario: Scenario, m: int) -> np.ndarray:
     return signal + noise
 
 
-def _test_rows(rows: np.ndarray, rule: LrdRule, alpha_level: float):
-    """Vectorized two-sided test on each row: (reject?, tie proportion)."""
+def _test_rows(rows: np.ndarray, rule: LrdRule, z_crit: float):
+    """Vectorized two-sided test on each row: (reject?, tie proportion).
+
+    A row rejects when |z| >= z_crit (see inference.critical_value),
+    the same decision as a two-sided p-value at or below the size.
+    """
     n = rows.shape[1]
     s, scoring = pair_counts(rows, rule)
     u, v = exceedance_counts(rows, rule)
@@ -167,12 +171,12 @@ def _test_rows(rows: np.ndarray, rule: LrdRule, alpha_level: float):
     corrected = s - np.sign(s)
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(var > 0, corrected / np.sqrt(var), 0.0)
-    p = erfc(np.abs(z) / math.sqrt(2.0))
+    reject = np.abs(z) >= z_crit
     # degenerate variance: conclusive for s != 0, a sure tie otherwise
-    p = np.where((var == 0) & (s != 0), 0.0, p)
-    p = np.where((var == 0) & (s == 0), 1.0, p)
+    reject = np.where(var == 0, s != 0, reject)
 
-    return p <= alpha_level, 1.0 - scoring / (n * (n - 1) // 2)
+    pairs = n * (n - 1) // 2
+    return reject, (pairs - scoring) / pairs
 
 
 def run_cell(scenario: Scenario, d_ratio: float) -> CellResult:
@@ -197,6 +201,8 @@ def run_cell(scenario: Scenario, d_ratio: float) -> CellResult:
     if scenario.use_permutation:
         return _run_cell_permutation(scenario, key, rule)
 
+    z_crit = critical_value(scenario.alpha_level)
+
     rejections = 0
     tie_total = 0.0
     done = 0
@@ -205,7 +211,7 @@ def run_cell(scenario: Scenario, d_ratio: float) -> CellResult:
         m = min(chunk, scenario.replicates - done)
         rng = generator_for(scenario.seed, "sim", *key, idx)
         rows = _simulate_chunk(rng, scenario, m)
-        reject, ties = _test_rows(rows, rule, scenario.alpha_level)
+        reject, ties = _test_rows(rows, rule, z_crit)
         rejections += int(reject.sum())
         tie_total += float(ties.sum())
         done += m
@@ -293,7 +299,7 @@ def expected_null_tie_proportion(distribution: str, d_ratio: float) -> float:
     if r < 0 or not np.isfinite(r):
         raise InputError(f"d_ratio must be finite and >= 0, got {d_ratio!r}")
     if distribution == "normal":
-        return 1.0 - float(erfc(r / 2.0))
+        return 1.0 - math.erfc(r / 2.0)
     if distribution == "uniform":
         width = 2.0 * math.sqrt(3.0)
         if r >= width:

@@ -1,9 +1,13 @@
 """Command-line surface: exit codes, format parity, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import lrdkendall
 from lrdkendall.cli import main
 
 FIXTURE = "src/lrdkendall/data/platelets_2001_2005.csv"
@@ -238,3 +242,31 @@ class TestExitCodes:
         path.write_text("x,f\n0,1\n1,1\n2,1\n")
         code, _ = run_cli(capsys, "power", "--density", f"file:{path}")
         assert code in (2, 3)  # rejected before any curve is computed
+
+
+class TestImportPath:
+    def test_subcommands_run_without_scipy(self, series_path):
+        # the runtime needs numpy alone; scipy stays a test-only oracle
+        calls = [
+            ["test", series_path, "--lrd", "0.6", "--format", "json"],
+            ["regional", os.path.abspath(FIXTURE), "--lrd", "0.05", "--format", "json"],
+            ["power", "--density", "normal:1", "--d-grid", "0:3:0.5", "--format", "json"],
+        ]
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from lrdkendall.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes = [main(argv) for argv in {calls!r}]\n"
+            "print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith('scipy'))]))\n"
+        )
+        src = os.path.dirname(os.path.dirname(lrdkendall.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        ))
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        codes, scipy_modules = json.loads(done.stdout)
+        assert codes == [0, 0, 0]
+        assert scipy_modules == []

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate, special
 
 from lrdkendall import (
     AnalyticUnavailable,
@@ -18,6 +19,7 @@ from lrdkendall import (
     power_gain_condition,
     validate_moments,
 )
+from lrdkendall.inference import critical_value
 
 # drift of the standardized statistic per unit slope, unit normal errors,
 # frozen from an independent quadrature run at fifteen decimals
@@ -31,6 +33,29 @@ NORMAL_DRIFT = {
 }
 
 NULL_MOMENTS = MomentSet(1 / 3, 1 / 3, 1 / 6, 1 / 2)
+
+
+def quadrature_moments(sigma, d):
+    """Normal moments as adaptive quadrature over the line, independent of
+    the package's orthant closed form: (above_two, below_two, above_below,
+    above_one)."""
+
+    def pdf(x):
+        return math.exp(-0.5 * (x / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi))
+
+    def cdf(x):
+        return special.ndtr(x / sigma)
+
+    integrands = (
+        lambda x: pdf(x) * cdf(x - d) ** 2,
+        lambda x: pdf(x) * (1.0 - cdf(x + d)) ** 2,
+        lambda x: pdf(x) * cdf(x - d) * (1.0 - cdf(x + d)),
+        lambda x: pdf(x) * cdf(x - d),
+    )
+    return tuple(
+        integrate.quad(fn, -np.inf, np.inf, epsabs=1e-12, epsrel=1e-12, limit=200)[0]
+        for fn in integrands
+    )
 
 
 def tabulated_normal(sigma=1.0, span=9.0, points=4001):
@@ -152,6 +177,23 @@ class TestMoments:
         assert table.above_two == pytest.approx(exact.above_two, abs=2e-4)
         assert table.above_one == pytest.approx(exact.above_one, abs=2e-4)
 
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 3.0])
+    def test_normal_closed_form_matches_quadrature(self, sigma):
+        for d in np.linspace(0.0, 10.0 * sigma, 41):
+            m = moments(ErrorDensity.normal(sigma), float(d))
+            got = (m.above_two, m.below_two, m.above_below, m.above_one)
+            want = quadrature_moments(sigma, float(d))
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-12, (sigma, d, got, want)
+
+    def test_normal_far_tail_stays_valid(self):
+        # the rho = -1/2 orthant term cancels against Phi(-h)^2 out here
+        for d in np.linspace(0.0, 40.0, 401):
+            m = moments(ErrorDensity.normal(1.0), float(d))
+            assert m.above_two == m.below_two
+            assert min(m.above_two, m.below_two, m.above_below, m.above_one) >= 0.0
+            validate_moments(m)
+
     def test_rejects_negative_threshold(self):
         with pytest.raises(InputError):
             moments(ErrorDensity.normal(1.0), -0.5)
@@ -198,6 +240,10 @@ class TestPowerCurve:
         assert points[1].degenerate
         assert points[1].drift is None
         assert points[1].power == 1.0
+
+    def test_critical_value_matches_scipy(self):
+        # statistics.NormalDist and scipy's ndtri differ here by 6.7e-16
+        assert abs(critical_value(0.05) - -special.ndtri(0.025)) <= 1e-15
 
     def test_alpha_validated(self):
         with pytest.raises(InputError):
