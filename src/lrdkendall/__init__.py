@@ -62,7 +62,6 @@ from .regional import (
     regional_test,
 )
 from .report import (
-    grid_rows,
     read_grid_csv,
     render_json,
     render_text,
@@ -118,7 +117,6 @@ __all__ = [
     "density_for",
     "diff_density",
     "expected_null_tie_proportion",
-    "grid_rows",
     "load_grid_config",
     "moment_estimates",
     "moments",

@@ -201,6 +201,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise InputError(f"bad d-grid {spec!r}") from None
+    if not np.all(np.isfinite((start, stop, step))):
+        raise InputError(f"d-grid values must be finite, got {spec!r}")
     if step <= 0 or stop < start or start < 0:
         raise InputError(f"need 0 <= START <= STOP and STEP > 0, got {spec!r}")
     return np.arange(start, stop + step / 2, step)

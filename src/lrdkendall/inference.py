@@ -86,15 +86,14 @@ def critical_value(alpha_level: float) -> float:
     return -NormalDist().inv_cdf(alpha_level / 2.0)
 
 
-def tau_extended(s_ex: int, scoring, n: int) -> tuple[float, float | None]:
+def tau_extended(s_ex: int, scoring: int, n: int) -> tuple[float, float | None]:
     """Rank-correlation style effect sizes for the thresholded score.
 
     tau_a divides by the total number of pairs. tau_b divides by the
     geometric mean of the unthresholded pair count and the count of
     pairs the threshold leaves active, mirroring the tie-corrected
     denominator of the classical coefficient. ``scoring`` counts the
-    pairs that score +/-1; an array is summed, so the u counts serve
-    under the default boundary ("lt" at d = 0 counts exact ties twice).
+    pairs that score +/-1.
 
     Returns:
         (tau_a, tau_b); tau_b is None when no pair clears the threshold.
@@ -103,10 +102,9 @@ def tau_extended(s_ex: int, scoring, n: int) -> tuple[float, float | None]:
         raise InputError(f"need n >= 2, got {n}")
     pairs = n * (n - 1) / 2.0
     tau_a = s_ex / pairs
-    active = float(np.sum(np.asarray(scoring, dtype=np.int64)))
-    if active == 0:
+    if scoring == 0:
         return tau_a, None
-    tau_b = s_ex / math.sqrt(active * pairs)
+    tau_b = s_ex / math.sqrt(scoring * pairs)
     return tau_a, tau_b
 
 
@@ -140,8 +138,6 @@ def run_test(
     rule: LrdRule | None = None,
     sidedness: str = "two_sided",
     continuity: bool = True,
-    small_n: int = SMALL_N,
-    heavy_ties: float = HEAVY_TIES,
 ) -> TrendTestResult:
     """Run the thresholded trend test on one series.
 
@@ -153,13 +149,11 @@ def run_test(
             or "less".
         continuity: Continuity-correct the z statistic. Disable to match
             conventions that standardize the raw score.
-        small_n: Threshold for the ``small_n`` warning.
-        heavy_ties: Tie-fraction threshold for the ``heavy_ties`` warning.
 
     Returns:
         TrendTestResult. Possible warning slugs: ``small_n`` (n below
-        small_n), ``heavy_ties`` (zero-score fraction at or above
-        heavy_ties), ``degenerate_variance`` (estimated variance is 0,
+        SMALL_N), ``heavy_ties`` (zero-score fraction at or above
+        HEAVY_TIES), ``degenerate_variance`` (estimated variance is 0,
         so z and p are degenerate).
 
     Raises:
@@ -186,9 +180,9 @@ def run_test(
     tau_a, tau_b = tau_extended(s_ex, scoring, n)
 
     warns: list[str] = []
-    if n < small_n:
+    if n < SMALL_N:
         warns.append("small_n")
-    if pi_t >= heavy_ties:
+    if pi_t >= HEAVY_TIES:
         warns.append("heavy_ties")
     if variance == 0.0:
         warns.append("degenerate_variance")

@@ -62,12 +62,56 @@ def _rows_per_chunk(n: int) -> int:
     return max(1, min(4096, _CHUNK_ELEMENTS // pairs))
 
 
-def _tail_hits(null_s: np.ndarray, s_obs: int, sidedness: str) -> int:
+def _check_args(sidedness: str, replicates: int) -> None:
+    if sidedness not in SIDEDNESS:
+        raise InputError(f"sidedness must be one of {SIDEDNESS}, got {sidedness!r}")
+    if replicates < 1:
+        raise InputError(f"replicates must be >= 1, got {replicates}")
+
+
+def _sampled_null(groups, replicates: int, seed: int) -> np.ndarray:
+    """Summed scores of ``replicates`` sampled draws over equal-length groups.
+
+    ``groups`` holds (key, values, rule) triples. Each group's values are
+    permuted independently; chunk c of a group draws from
+    ``generator_for(seed, *key, c)``.
+    """
+    chunk = _rows_per_chunk(len(groups[0][1]))
+    parts = []
+    for idx, done in enumerate(range(0, replicates, chunk)):
+        m = min(chunk, replicates - done)
+        total = np.zeros(m, dtype=np.int64)
+        for key, values, rule in groups:
+            rng = generator_for(seed, *key, idx)
+            rows = rng.permuted(np.tile(values, (m, 1)), axis=1)
+            total += pair_counts(rows, rule)[0]
+        parts.append(total)
+    return np.concatenate(parts)
+
+
+def _result(
+    null_s: np.ndarray, s_obs: int, sidedness: str, method: str, seed: int
+) -> PermutationResult:
     if sidedness == "two_sided":
-        return int(np.sum(np.abs(null_s) >= abs(s_obs)))
-    if sidedness == "greater":
-        return int(np.sum(null_s >= s_obs))
-    return int(np.sum(null_s <= s_obs))
+        hits = int(np.sum(np.abs(null_s) >= abs(s_obs)))
+    elif sidedness == "greater":
+        hits = int(np.sum(null_s >= s_obs))
+    else:
+        hits = int(np.sum(null_s <= s_obs))
+    draws = len(null_s)
+    exhaustive = method == "exhaustive"
+    p = hits / draws if exhaustive else (1 + hits) / (draws + 1)
+    return PermutationResult(
+        p=float(p),
+        s_observed=int(s_obs),
+        sidedness=sidedness,
+        method=method,
+        draws=draws,
+        exceed_count=hits,
+        null_mean=float(null_s.mean()),
+        null_sd=float(null_s.std(ddof=0)),
+        seed=None if exhaustive else seed,
+    )
 
 
 def permutation_test(
@@ -97,12 +141,9 @@ def permutation_test(
     """
     if rule is None:
         rule = LrdRule(d=0.0)
-    if sidedness not in SIDEDNESS:
-        raise InputError(f"sidedness must be one of {SIDEDNESS}, got {sidedness!r}")
+    _check_args(sidedness, replicates)
     if method not in ("auto", "exhaustive", "sampled"):
         raise InputError(f"unknown method {method!r}")
-    if replicates < 1:
-        raise InputError(f"replicates must be >= 1, got {replicates}")
 
     n = len(series)
     s_obs = s_extended(series, rule)
@@ -116,37 +157,9 @@ def permutation_test(
     if method == "exhaustive":
         rows = np.array(list(itertools.permutations(series.values)))
         null_s, _ = pair_counts(rows, rule)
-        hits = _tail_hits(null_s, s_obs, sidedness)
-        draws = len(null_s)
-        p = hits / draws
     else:
-        chunk = _rows_per_chunk(n)
-        parts = []
-        done = 0
-        idx = 0
-        while done < replicates:
-            m = min(chunk, replicates - done)
-            rng = generator_for(seed, "perm", idx)
-            rows = rng.permuted(np.tile(series.values, (m, 1)), axis=1)
-            parts.append(pair_counts(rows, rule)[0])
-            done += m
-            idx += 1
-        null_s = np.concatenate(parts)
-        hits = _tail_hits(null_s, s_obs, sidedness)
-        draws = replicates
-        p = (1 + hits) / (draws + 1)
-
-    return PermutationResult(
-        p=float(p),
-        s_observed=s_obs,
-        sidedness=sidedness,
-        method=method,
-        draws=draws,
-        exceed_count=hits,
-        null_mean=float(null_s.mean()),
-        null_sd=float(null_s.std(ddof=0)),
-        seed=None if method == "exhaustive" else seed,
-    )
+        null_s = _sampled_null([(("perm",), series.values, rule)], replicates, seed)
+    return _result(null_s, s_obs, sidedness, method, seed)
 
 
 def regional_permutation_test(
@@ -165,44 +178,16 @@ def regional_permutation_test(
     """
     if policy is None:
         policy = LrdPolicy()
-    if sidedness not in SIDEDNESS:
-        raise InputError(f"sidedness must be one of {SIDEDNESS}, got {sidedness!r}")
-    if replicates < 1:
-        raise InputError(f"replicates must be >= 1, got {replicates}")
+    _check_args(sidedness, replicates)
 
     rules = {
         label: policy.rule_for(label, series)
         for label, series in data.groups.items()
     }
     s_obs = sum(s_extended(series, rules[label]) for label, series in data.groups.items())
-
-    n = data.periods
-    chunk = _rows_per_chunk(n)
-    totals = []
-    done = 0
-    idx = 0
-    while done < replicates:
-        m = min(chunk, replicates - done)
-        total = np.zeros(m, dtype=np.int64)
-        for label, series in data.groups.items():
-            rng = generator_for(seed, "regional", label, idx)
-            rows = rng.permuted(np.tile(series.values, (m, 1)), axis=1)
-            total += pair_counts(rows, rules[label])[0]
-        totals.append(total)
-        done += m
-        idx += 1
-    null_s = np.concatenate(totals)
-    hits = _tail_hits(null_s, s_obs, sidedness)
-    p = (1 + hits) / (replicates + 1)
-
-    return PermutationResult(
-        p=float(p),
-        s_observed=int(s_obs),
-        sidedness=sidedness,
-        method="sampled",
-        draws=replicates,
-        exceed_count=hits,
-        null_mean=float(null_s.mean()),
-        null_sd=float(null_s.std(ddof=0)),
-        seed=seed,
-    )
+    groups = [
+        (("regional", label), series.values, rules[label])
+        for label, series in data.groups.items()
+    ]
+    null_s = _sampled_null(groups, replicates, seed)
+    return _result(null_s, s_obs, sidedness, "sampled", seed)

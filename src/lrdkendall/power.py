@@ -369,6 +369,8 @@ def power_curve(
     tuple of PowerPoint
         One point per threshold, same order as the grid.
     """
+    if not np.isfinite(slope):
+        raise InputError(f"slope must be finite, got {slope!r}")
     if not 0.0 < alpha_level < 1.0:
         raise InputError(f"alpha_level must be in (0, 1), got {alpha_level!r}")
     crit = critical_value(alpha_level)

@@ -14,14 +14,7 @@ import numpy as np
 
 from .core import LrdRule, Series
 from .errors import InputError, NoUsableData
-from .inference import (
-    HEAVY_TIES,
-    SMALL_N,
-    TrendTestResult,
-    p_value,
-    run_test,
-    z_score,
-)
+from .inference import TrendTestResult, p_value, run_test, z_score
 
 #: below this many group-by-period cells the normal approximation is doubtful
 SMALL_PRODUCT = 25
@@ -70,8 +63,12 @@ class RegionalDataset:
             raise InputError("labels, times, values must have equal length")
         if len(labels) == 0:
             raise NoUsableData("empty input")
+        if not np.all(np.isfinite(times)):
+            raise InputError("times contain NaN or infinity")
 
-        grid = np.unique(times)
+        # sorted distinct times; np.unique would import numpy.ma on first use
+        grid = np.sort(times)
+        grid = grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
         by_label: dict[str, dict[float, float]] = {}
         for lab, t, x in zip(labels, times, values):
             row = by_label.setdefault(lab, {})
@@ -160,9 +157,6 @@ def regional_test(
     policy: LrdPolicy | None = None,
     sidedness: str = "two_sided",
     continuity: bool = True,
-    small_product: int = SMALL_PRODUCT,
-    small_n: int = SMALL_N,
-    heavy_ties: float = HEAVY_TIES,
 ) -> RegionalResult:
     """Test for a common trend across all groups of a dataset.
 
@@ -175,14 +169,11 @@ def regional_test(
         sidedness: Tail convention for the aggregate p-value (per-group
             results inherit it too).
         continuity: Continuity-correct the aggregate z (and per-group z).
-        small_product: Cells threshold for the ``regional_small_product``
-            warning (groups times periods at or below it).
-        small_n: Per-group small-sample warning threshold.
-        heavy_ties: Per-group tie-fraction warning threshold.
 
     Returns:
         RegionalResult; warnings may contain ``regional_small_product``
-        and ``degenerate_variance``.
+        (groups times periods at most SMALL_PRODUCT) and
+        ``degenerate_variance``.
     """
     if policy is None:
         policy = LrdPolicy()
@@ -190,12 +181,7 @@ def regional_test(
     for label, series in data.groups.items():
         rule = policy.rule_for(label, series)
         per_group[label] = run_test(
-            series,
-            rule,
-            sidedness=sidedness,
-            continuity=continuity,
-            small_n=small_n,
-            heavy_ties=heavy_ties,
+            series, rule, sidedness=sidedness, continuity=continuity
         )
 
     s_total = sum(r.s_extended for r in per_group.values())
@@ -204,7 +190,7 @@ def regional_test(
     p = p_value(z, sidedness)
 
     warns: list[str] = []
-    if len(per_group) * data.periods <= small_product:
+    if len(per_group) * data.periods <= SMALL_PRODUCT:
         warns.append("regional_small_product")
     if variance == 0.0:
         warns.append("degenerate_variance")

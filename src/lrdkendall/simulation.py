@@ -14,8 +14,7 @@ Design notes, fixed on purpose:
 
 * Rejection decisions use the normal-approximation path (continuity
   corrected, two-sided p <= alpha), because that is the procedure whose
-  operating characteristics the study measures; a flag switches cells to
-  the permutation path for heavy-tie investigation.
+  operating characteristics the study measures.
 * The error scale enters twice: it generates the noise and it converts
   d_ratio to an absolute threshold. A cell is scale-equivariant, so the
   size columns are flat across error scales up to Monte Carlo noise.
@@ -36,10 +35,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import LrdRule, Series, exceedance_counts, pair_counts, tie_proportion
+from .core import LrdRule, exceedance_counts, pair_counts
 from .errors import InputError
 from .inference import critical_value
-from .permutation import permutation_test
 from .power import ErrorDensity
 from .seeds import generator_for
 
@@ -80,8 +78,6 @@ class Scenario:
     replicates: int = 10000
     seed: int = 0
     alpha_level: float = 0.05
-    use_permutation: bool = False
-    permutation_replicates: int = 2000
 
     def __post_init__(self):
         object.__setattr__(self, "theta", float(self.theta))
@@ -197,10 +193,6 @@ def run_cell(scenario: Scenario, d_ratio: float) -> CellResult:
     )
     rule = LrdRule(d=key.d_ratio * scenario.error_sd)
     chunk = _rows_per_chunk(scenario.n)
-
-    if scenario.use_permutation:
-        return _run_cell_permutation(scenario, key, rule)
-
     z_crit = critical_value(scenario.alpha_level)
 
     rejections = 0
@@ -216,33 +208,6 @@ def run_cell(scenario: Scenario, d_ratio: float) -> CellResult:
         tie_total += float(ties.sum())
         done += m
         idx += 1
-
-    rate = rejections / scenario.replicates
-    return CellResult(
-        rejection_rate=rate,
-        mean_tie_proportion=tie_total / scenario.replicates,
-        mc_stderr=math.sqrt(rate * (1.0 - rate) / scenario.replicates),
-        replicates_used=scenario.replicates,
-    )
-
-
-def _run_cell_permutation(scenario: Scenario, key: CellKey, rule: LrdRule) -> CellResult:
-    """Permutation-path variant for the heavy-tie regime study."""
-    rejections = 0
-    tie_total = 0.0
-    for r in range(scenario.replicates):
-        rng = generator_for(scenario.seed, "sim", *key, "perm-data", r)
-        row = _simulate_chunk(rng, scenario, 1)[0]
-        series = Series.from_values(row)
-        res = permutation_test(
-            series,
-            rule,
-            replicates=scenario.permutation_replicates,
-            seed=int(rng.integers(2**63)),
-            method="sampled",
-        )
-        rejections += res.p <= scenario.alpha_level
-        tie_total += tie_proportion(series, rule)
 
     rate = rejections / scenario.replicates
     return CellResult(

@@ -22,7 +22,9 @@ import numpy as np
 
 from .errors import InputError, InvalidMoments
 
-#: quadrature rounding can nick the moment inequalities by ~1 ulp
+#: rounding in computed moments (the Gauss-Legendre orthant sum for normal
+#: errors, trapezoid sums for tabulated densities) can cross a range bound
+#: or the inequality chain by a few ulp where it is tight
 MOMENT_SLACK = 1e-12
 
 

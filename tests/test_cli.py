@@ -190,8 +190,14 @@ class TestPowerCommand:
         point = json.loads(raw)["points"][0]
         assert point["density_at_d"] == pytest.approx(1 / (2 * math.sqrt(math.pi)), abs=1e-4)
 
-    def test_bad_grid_spec(self, capsys):
-        code, _ = run_cli(capsys, "power", "--density", "normal:1", "--d-grid", "3:0:0.5")
+    @pytest.mark.parametrize("spec", ["3:0:0.5", "0:inf:1", "nan:1:0.1", "0:1:nan"])
+    def test_bad_grid_spec(self, capsys, spec):
+        code, _ = run_cli(capsys, "power", "--density", "normal:1", "--d-grid", spec)
+        assert code == 2
+
+    @pytest.mark.parametrize("slope", ["nan", "inf"])
+    def test_non_finite_slope(self, capsys, slope):
+        code, _ = run_cli(capsys, "power", "--density", "normal:1", "--slope", slope)
         assert code == 2
 
     def test_bad_density_spec(self, capsys):
@@ -246,7 +252,8 @@ class TestExitCodes:
 
 class TestImportPath:
     def test_subcommands_run_without_scipy(self, series_path):
-        # the runtime needs numpy alone; scipy stays a test-only oracle
+        # the runtime needs numpy alone; scipy stays a test-only oracle, and
+        # numpy.ma (about 10 ms to import) stays unloaded
         calls = [
             ["test", series_path, "--lrd", "0.6", "--format", "json"],
             ["regional", os.path.abspath(FIXTURE), "--lrd", "0.05", "--format", "json"],
@@ -257,7 +264,8 @@ class TestImportPath:
             "from lrdkendall.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    codes = [main(argv) for argv in {calls!r}]\n"
-            "print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith('scipy'))]))\n"
+            "print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith('scipy')),\n"
+            "                  'numpy.ma' in sys.modules]))\n"
         )
         src = os.path.dirname(os.path.dirname(lrdkendall.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -267,6 +275,7 @@ class TestImportPath:
             [sys.executable, "-c", script],
             env=env, capture_output=True, text=True, timeout=120, check=True,
         )
-        codes, scipy_modules = json.loads(done.stdout)
+        codes, scipy_modules, loaded_ma = json.loads(done.stdout)
         assert codes == [0, 0, 0]
         assert scipy_modules == []
+        assert not loaded_ma

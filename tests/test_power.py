@@ -249,6 +249,12 @@ class TestPowerCurve:
         with pytest.raises(InputError):
             power_curve(ErrorDensity.normal(1.0), 0.5, [0.0], alpha_level=0.0)
 
+    @pytest.mark.parametrize("slope", [math.nan, math.inf])
+    def test_non_finite_slope_rejected(self, slope):
+        # same check as asymptotic_drift
+        with pytest.raises(InputError, match="slope"):
+            power_curve(ErrorDensity.normal(1.0), slope, [0.0, 1.0])
+
     def test_quadratic_start(self):
         # the curve is flat to first order at d = 0: finite differences of
         # the drift scale by 4 when the step doubles

@@ -80,6 +80,21 @@ class TestRegionalDataset:
                 labels=["a", "a"], times=[0.0, 0.0], values=[1.0, 2.0],
             )
 
+    def test_from_columns_grid_is_sorted_distinct_times(self):
+        times = [3.5, -1.0, 0.0, 2.25, 2.25, 0.0, -1.0, 3.5]
+        data = RegionalDataset.from_columns(
+            labels=list("aaaabbbb"), times=times, values=range(8),
+        )
+        np.testing.assert_array_equal(data.groups["a"].times, np.unique(times))
+
+    def test_from_columns_nan_time_rejected(self):
+        with pytest.raises(InputError, match="NaN"):
+            RegionalDataset.from_columns(
+                labels=["a", "a", "b", "b"],
+                times=[0.0, np.nan, 0.0, np.nan],
+                values=[1.0, 2.0, 3.0, 4.0],
+            )
+
     def test_all_excluded_is_an_error(self):
         with pytest.raises(NoUsableData):
             RegionalDataset.from_columns(

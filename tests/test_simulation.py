@@ -97,14 +97,6 @@ class TestRunCell:
         rate = cell.rejection_rate
         assert cell.mc_stderr == pytest.approx(math.sqrt(rate * (1 - rate) / 2000))
 
-    def test_permutation_path_runs(self):
-        scenario = make_scenario(
-            n=10, replicates=40, use_permutation=True, permutation_replicates=300,
-        )
-        cell = run_cell(scenario, 1.0)
-        assert 0.0 <= cell.rejection_rate <= 1.0
-        assert cell.replicates_used == 40
-
 
 class TestExpectedNullTies:
     def test_normal_closed_form(self):
