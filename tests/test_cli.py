@@ -190,10 +190,10 @@ class TestPowerCommand:
         point = json.loads(raw)["points"][0]
         assert point["density_at_d"] == pytest.approx(1 / (2 * math.sqrt(math.pi)), abs=1e-4)
 
-    @pytest.mark.parametrize("spec", ["3:0:0.5", "0:inf:1", "nan:1:0.1", "0:1:nan"])
-    def test_bad_grid_spec(self, capsys, spec):
-        code, _ = run_cli(capsys, "power", "--density", "normal:1", "--d-grid", spec)
-        assert code == 2
+    def test_bad_grid_spec(self, capsys):
+        for spec in ("3:0:0.5", "0:inf:1", "nan:1:0.1", "0:1:nan"):
+            code, _ = run_cli(capsys, "power", "--density", "normal:1", "--d-grid", spec)
+            assert code == 2, spec
 
     @pytest.mark.parametrize("slope", ["nan", "inf"])
     def test_non_finite_slope(self, capsys, slope):
