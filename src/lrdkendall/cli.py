@@ -27,6 +27,7 @@ from .simulation import load_grid_config, run_grid
 _DIRECTIONS = {"sym": "symmetric", "pos": "positive_only", "neg": "negative_only"}
 _SIDEDNESS = {"two": "two_sided", "greater": "greater", "less": "less"}
 _POLICY_KINDS = {"absolute": "absolute", "fraction-of-mean": "fraction_of_group_mean"}
+MAX_GRID_POINTS = 1_000_000
 
 
 def _policy_flags(sub, with_direction: bool) -> None:
@@ -73,7 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slope", "--lambda", dest="slope", type=float, default=1.0,
                    help="local trend coefficient (default 1)")
     p.add_argument("--d-grid", default="0:3:0.01", metavar="START:STOP:STEP",
-                   help="threshold grid (default 0:3:0.01)")
+                   help=f"threshold grid of at most {MAX_GRID_POINTS} points "
+                        "(default 0:3:0.01)")
     p.add_argument("--alpha", type=float, default=0.05,
                    help="two-sided test size (default 0.05)")
     p.add_argument("--format", choices=["text", "json"], default="text")
@@ -205,6 +207,9 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise InputError(f"d-grid values must be finite, got {spec!r}")
     if step <= 0 or stop < start or start < 0:
         raise InputError(f"need 0 <= START <= STOP and STEP > 0, got {spec!r}")
+    points = (stop + step / 2 - start) / step  # np.arange rounds this up
+    if points > MAX_GRID_POINTS:
+        raise InputError(f"d-grid {spec!r} has more than {MAX_GRID_POINTS} points")
     return np.arange(start, stop + step / 2, step)
 
 

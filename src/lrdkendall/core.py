@@ -41,6 +41,10 @@ from .errors import AnalyticUnavailable, InputError, InsufficientData
 BOUNDARIES = ("leq", "lt")
 DIRECTIONS = ("symmetric", "positive_only", "negative_only")
 
+#: bytes one pairwise-kernel call may allocate, reached near n = 11 000
+#: for one series (n = 4000 needs 0.3 GB); beyond it the call raises
+PAIR_BYTES_BUDGET = 2**31
+
 
 @dataclass(frozen=True)
 class LrdRule:
@@ -166,6 +170,14 @@ def pair_score(xi: float, xj: float, rule: LrdRule) -> int:
     return 1
 
 
+def _check_budget(rows: np.ndarray, need: int) -> None:
+    if need > PAIR_BYTES_BUDGET:
+        raise InputError(
+            f"{rows.shape[0]} series of n = {rows.shape[1]} needs about {need} "
+            f"bytes of pairwise arrays, over the budget of {PAIR_BYTES_BUDGET}"
+        )
+
+
 def pair_counts(rows: np.ndarray, rule: LrdRule) -> tuple[np.ndarray, np.ndarray]:
     """Trend score and scoring-pair count of each row of an (m, n) matrix.
 
@@ -187,7 +199,10 @@ def pair_counts(rows: np.ndarray, rule: LrdRule) -> tuple[np.ndarray, np.ndarray
         >>> int(s[0]), int(scoring[0])
         (14, 40)
     """
-    i, j = np.triu_indices(rows.shape[1], k=1)
+    m, n = rows.shape
+    # two index arrays, the deltas and their temporary, two boolean masks
+    _check_budget(rows, (16 + 18 * m) * (n * (n - 1) // 2))
+    i, j = np.triu_indices(n, k=1)
     deltas = rows[:, j]
     deltas -= rows[:, i]  # later minus earlier; in place, the largest array here
     # a one-directional rule counts every move in its unthresholded direction
@@ -236,6 +251,7 @@ def exceedance_counts(rows: np.ndarray, rule: LrdRule) -> tuple[np.ndarray, np.n
             "symmetric rule only; use the permutation test for "
             f"direction={rule.direction!r}"
         )
+    _check_budget(rows, 9 * rows.size * rows.shape[1])  # diff and its mask
     diff = rows[:, :, None] - rows[:, None, :]
     hit = _exceeds(diff, rule.d, rule.boundary)
     diagonal = np.arange(rows.shape[1])

@@ -4,15 +4,9 @@ This is the fallback path recommended whenever the normal approximation
 is doubtful (small n, heavy ties) and the only path for one-directional
 rules, whose analytic variance is not derived.
 
-Seeding contract
-----------------
-Draws are generated in fixed-size chunks, each chunk from its own
-generator keyed by (seed, stream-tag, chunk-index) through
-:mod:`lrdkendall.seeds`. The draw sequence is therefore a pure function
-of the inputs: identical (series, rule, replicates, seed) give an
-identical p-value regardless of scheduling, threading, or how many other
-tests ran first. For n <= 8 the test enumerates all n! orderings instead
-and the p-value is exact, with no randomness at all.
+Sampled draws follow the seeding contract in :mod:`lrdkendall.seeds`.
+For n <= 8 the test enumerates all n! orderings instead and the p-value
+is exact, with no randomness at all.
 
 The grouped variant (permute within each group independently, recombine
 the summed score) is this package's extension; treat its p-values as a
@@ -30,7 +24,7 @@ from .core import LrdRule, Series, pair_counts, s_extended
 from .errors import InputError
 from .inference import SIDEDNESS
 from .regional import LrdPolicy, RegionalDataset
-from .seeds import generator_for
+from .seeds import chunks
 
 EXHAUSTIVE_MAX_N = 8          # 8! = 40320 orderings; 9! starts to drag
 _CHUNK_ELEMENTS = 4_000_000   # target pairwise-matrix size per chunk
@@ -73,20 +67,16 @@ def _sampled_null(groups, replicates: int, seed: int) -> np.ndarray:
     """Summed scores of ``replicates`` sampled draws over equal-length groups.
 
     ``groups`` holds (key, values, rule) triples. Each group's values are
-    permuted independently; chunk c of a group draws from
-    ``generator_for(seed, *key, c)``.
+    permuted independently, in the chunks of the stream keyed ``key``.
     """
-    chunk = _rows_per_chunk(len(groups[0][1]))
-    parts = []
-    for idx, done in enumerate(range(0, replicates, chunk)):
-        m = min(chunk, replicates - done)
-        total = np.zeros(m, dtype=np.int64)
-        for key, values, rule in groups:
-            rng = generator_for(seed, *key, idx)
-            rows = rng.permuted(np.tile(values, (m, 1)), axis=1)
-            total += pair_counts(rows, rule)[0]
-        parts.append(total)
-    return np.concatenate(parts)
+    size = _rows_per_chunk(len(groups[0][1]))
+    total = np.zeros(replicates, dtype=np.int64)
+    for key, values, rule in groups:
+        total += np.concatenate([
+            pair_counts(rng.permuted(np.tile(values, (m, 1)), axis=1), rule)[0]
+            for rng, m in chunks(seed, key, replicates, size)
+        ])
+    return total
 
 
 def _result(
@@ -180,14 +170,9 @@ def regional_permutation_test(
         policy = LrdPolicy()
     _check_args(sidedness, replicates)
 
-    rules = {
-        label: policy.rule_for(label, series)
-        for label, series in data.groups.items()
-    }
-    s_obs = sum(s_extended(series, rules[label]) for label, series in data.groups.items())
-    groups = [
-        (("regional", label), series.values, rules[label])
-        for label, series in data.groups.items()
-    ]
+    ruled = [(label, series, policy.rule_for(series))
+             for label, series in data.groups.items()]
+    s_obs = sum(s_extended(series, rule) for _, series, rule in ruled)
+    groups = [(("regional", label), series.values, rule) for label, series, rule in ruled]
     null_s = _sampled_null(groups, replicates, seed)
     return _result(null_s, s_obs, sidedness, "sampled", seed)

@@ -8,7 +8,7 @@ independent; one standardized score then tests for a common trend.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,13 +101,11 @@ class LrdPolicy:
 
     kind "absolute" uses ``value`` directly as d. Kind
     "fraction_of_group_mean" resolves d = value * mean(group values),
-    so each group gets a threshold scaled to its own level. ``overrides``
-    maps group labels to absolute d values that win over either kind.
+    so each group gets a threshold scaled to its own level.
     """
 
     kind: str = "absolute"
     value: float = 0.0
-    overrides: dict[str, float] = field(default_factory=dict)
     boundary: str = "leq"
 
     def __post_init__(self):
@@ -115,15 +113,10 @@ class LrdPolicy:
             raise InputError(f"unknown policy kind {self.kind!r}")
         if not np.isfinite(self.value) or self.value < 0:
             raise InputError(f"policy value must be finite and >= 0, got {self.value!r}")
-        for lab, d in self.overrides.items():
-            if not np.isfinite(d) or d < 0:
-                raise InputError(f"override for {lab!r} must be finite and >= 0")
 
-    def rule_for(self, label: str, series: Series) -> LrdRule:
+    def rule_for(self, series: Series) -> LrdRule:
         """Resolve the scoring rule for one group."""
-        if label in self.overrides:
-            d = self.overrides[label]
-        elif self.kind == "absolute":
+        if self.kind == "absolute":
             d = self.value
         else:
             d = self.value * float(np.mean(series.values))
@@ -179,7 +172,7 @@ def regional_test(
         policy = LrdPolicy()
     per_group: dict[str, TrendTestResult] = {}
     for label, series in data.groups.items():
-        rule = policy.rule_for(label, series)
+        rule = policy.rule_for(series)
         per_group[label] = run_test(
             series, rule, sidedness=sidedness, continuity=continuity
         )

@@ -7,6 +7,12 @@ reproducible streams without any global state or seed bookkeeping:
 the same (seed, parameters) always yields the same stream, and distinct
 parameter tuples yield streams that are independent for all practical
 purposes.
+
+Seeding contract: replicates are drawn in fixed-size :func:`chunks`,
+each from its own generator, so a sampled result is a pure function of
+its inputs regardless of scheduling, threading, or what ran first. The
+chunk sizes and the task keys, ``("perm",)``, ``("regional", label)``
+and ``("sim", *cell key)``, are part of the contract.
 """
 
 from __future__ import annotations
@@ -30,3 +36,10 @@ def generator_for(*parts) -> np.random.Generator:
     digest = hashlib.blake2b(key_string(*parts).encode(), digest_size=16).digest()
     key = np.frombuffer(digest, dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def chunks(seed: int, key: tuple, total: int, size: int):
+    """Yield (generator_for(seed, *key, c), rows) for each chunk c of
+    ``total`` replicates; every chunk but the last holds ``size`` rows."""
+    for c, done in enumerate(range(0, total, size)):
+        yield generator_for(seed, *key, c), min(size, total - done)

@@ -4,11 +4,11 @@ Data-generating model: Y_i = theta * i^p + error, i = 1..n, with iid
 errors from a normal or uniform density of a given standard deviation.
 Thresholds are specified as ratios of that standard deviation, so cells
 are comparable across error scales. Each (distribution, n, error_sd,
-theta, p, d_ratio) cell gets its own deterministic random stream (see
-seeds.py); results are therefore reproducible cell by cell and
-independent of execution order, threading, and which other cells run.
-Pair scores and u/v counts come from the kernels in core.py; chunk
-sizes and generator keys are part of the seeding contract and fixed.
+theta, p, d_ratio) cell gets its own deterministic random stream under
+the seeding contract in seeds.py; results are therefore reproducible
+cell by cell and independent of execution order, threading, and which
+other cells run. Pair scores and u/v counts come from the kernels in
+core.py.
 
 Design notes, fixed on purpose:
 
@@ -39,7 +39,7 @@ from .core import LrdRule, exceedance_counts, pair_counts
 from .errors import InputError
 from .inference import critical_value
 from .power import ErrorDensity
-from .seeds import generator_for
+from .seeds import chunks
 
 THREADS_ENV = "LRDKENDALL_THREADS"
 _CHUNK_TARGET = 8_000_000  # upper bound on per-chunk diff-tensor elements
@@ -65,14 +65,16 @@ def density_for(distribution: str, error_sd: float) -> ErrorDensity:
 class Scenario:
     """One simulation configuration, minus the threshold grid position.
 
-    d_ratios lists the thresholds (as multiples of error_sd) this
-    scenario should be run at; run_grid expands them into cells.
+    Errors are iid draws from ``distribution`` ("normal" or "uniform")
+    with standard deviation error_sd. d_ratios lists the thresholds (as
+    multiples of error_sd) this scenario should be run at; run_grid
+    expands them into cells.
     """
 
     theta: float
     p: int
     n: int
-    density: ErrorDensity
+    distribution: str
     error_sd: float
     d_ratios: tuple[float, ...]
     replicates: int = 10000
@@ -89,27 +91,24 @@ class Scenario:
             raise InputError(f"trend power p must be >= 1, got {self.p}")
         if self.n < 3:
             raise InputError(f"need n >= 3, got {self.n}")
-        if not np.isfinite(self.error_sd) or self.error_sd <= 0:
-            raise InputError(f"error_sd must be > 0, got {self.error_sd!r}")
         if any(r < 0 or not np.isfinite(r) for r in self.d_ratios):
             raise InputError("d_ratios must be finite and >= 0")
         if self.replicates < 1:
             raise InputError(f"replicates must be >= 1, got {self.replicates}")
         if not 0.0 < self.alpha_level < 1.0:
             raise InputError(f"alpha_level must be in (0, 1), got {self.alpha_level!r}")
-        if self.density.kind == "tabulated":
-            raise InputError("the simulation engine draws only normal or uniform errors")
-        # the density must actually have the declared standard deviation
-        if not math.isclose(self.density.sd(), self.error_sd, rel_tol=1e-9):
-            raise InputError(
-                f"density sd {self.density.sd()!r} does not match "
-                f"error_sd {self.error_sd!r}"
-            )
+        density_for(self.distribution, self.error_sd)  # rejects a bad kind or error_sd
 
-    @classmethod
-    def build(cls, distribution: str, **kwargs) -> "Scenario":
-        """Construct with the density derived from a kind name."""
-        return cls(density=density_for(distribution, kwargs["error_sd"]), **kwargs)
+    @property
+    def density(self) -> ErrorDensity:
+        """The error density, from density_for(distribution, error_sd)."""
+        return density_for(self.distribution, self.error_sd)
+
+    def key(self, d_ratio: float) -> CellKey:
+        """The identity of this scenario's cell at threshold d_ratio."""
+        return CellKey(
+            self.distribution, self.n, self.error_sd, self.theta, self.p, float(d_ratio)
+        )
 
 
 class CellKey(NamedTuple):
@@ -146,10 +145,10 @@ def _simulate_chunk(rng, scenario: Scenario, m: int) -> np.ndarray:
     n = scenario.n
     x = np.arange(1, n + 1, dtype=float)
     signal = scenario.theta * x**scenario.p
-    if scenario.density.kind == "normal":
+    if scenario.distribution == "normal":
         noise = rng.normal(0.0, scenario.error_sd, size=(m, n))
     else:
-        noise = rng.uniform(scenario.density.lower, scenario.density.upper, size=(m, n))
+        noise = rng.uniform(*scenario.density.support(), size=(m, n))
     return signal + noise
 
 
@@ -178,36 +177,23 @@ def _test_rows(rows: np.ndarray, rule: LrdRule, z_crit: float):
 def run_cell(scenario: Scenario, d_ratio: float) -> CellResult:
     """Simulate one cell: rejection rate and mean tie proportion.
 
-    Deterministic in (scenario.seed, cell key): chunk c of the cell's
-    replicates uses the generator keyed (seed, "sim", *cell key, c).
+    Deterministic in (scenario.seed, cell key): the replicates are drawn
+    in the chunks of the stream keyed ("sim", *cell key).
     """
     if d_ratio < 0 or not np.isfinite(d_ratio):
         raise InputError(f"d_ratio must be finite and >= 0, got {d_ratio!r}")
-    key = CellKey(
-        distribution=scenario.density.kind,
-        n=scenario.n,
-        error_sd=scenario.error_sd,
-        theta=scenario.theta,
-        p=scenario.p,
-        d_ratio=float(d_ratio),
-    )
+    key = scenario.key(d_ratio)
     rule = LrdRule(d=key.d_ratio * scenario.error_sd)
-    chunk = _rows_per_chunk(scenario.n)
     z_crit = critical_value(scenario.alpha_level)
 
     rejections = 0
     tie_total = 0.0
-    done = 0
-    idx = 0
-    while done < scenario.replicates:
-        m = min(chunk, scenario.replicates - done)
-        rng = generator_for(scenario.seed, "sim", *key, idx)
-        rows = _simulate_chunk(rng, scenario, m)
-        reject, ties = _test_rows(rows, rule, z_crit)
+    for rng, m in chunks(
+        scenario.seed, ("sim", *key), scenario.replicates, _rows_per_chunk(scenario.n)
+    ):
+        reject, ties = _test_rows(_simulate_chunk(rng, scenario, m), rule, z_crit)
         rejections += int(reject.sum())
         tie_total += float(ties.sum())
-        done += m
-        idx += 1
 
     rate = rejections / scenario.replicates
     return CellResult(
@@ -225,22 +211,14 @@ def run_grid(scenarios) -> dict[CellKey, CellResult]:
     count (default 1). Results are identical for any worker count, by
     the per-cell seeding contract.
     """
-    cells = [
-        (s, r)
-        for s in scenarios
-        for r in s.d_ratios
-    ]
-    keys = [
-        CellKey(s.density.kind, s.n, s.error_sd, s.theta, s.p, float(r))
-        for s, r in cells
-    ]
+    cells = [(s, r) for s in scenarios for r in s.d_ratios]
     workers = _worker_count()
     if workers <= 1 or len(cells) <= 1:
         results = [run_cell(s, r) for s, r in cells]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(lambda c: run_cell(*c), cells))
-    return dict(zip(keys, results))
+    return {s.key(r): result for (s, r), result in zip(cells, results)}
 
 
 def _worker_count() -> int:
@@ -339,7 +317,7 @@ def load_grid_config(path, replicates: int | None = None, seed: int | None = Non
                             theta=float(trend["theta"]),
                             p=p,
                             n=int(n),
-                            density=density_for(dist, error_sd),
+                            distribution=dist,
                             error_sd=error_sd,
                             d_ratios=tuple(float(r) for r in raw["d_ratios"]),
                             replicates=reps,

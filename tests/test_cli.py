@@ -10,6 +10,8 @@ import pytest
 import lrdkendall
 from lrdkendall.cli import main
 
+from test_core import over_pair_budget
+
 FIXTURE = "src/lrdkendall/data/platelets_2001_2005.csv"
 
 SERIES_CSV = "t,v\n" + "".join(
@@ -32,6 +34,13 @@ def run_cli(capsys, *argv):
 
 
 class TestTestCommand:
+    def test_over_memory_budget_exits_2(self, capsys, tmp_path):
+        values = over_pair_budget().values
+        path = tmp_path / "long.csv"
+        path.write_text("t,v\n" + "".join(f"{i},{x}\n" for i, x in enumerate(values)))
+        assert main(["test", str(path)]) == 2
+        assert f"n = {len(values)} needs about" in capsys.readouterr().err
+
     def test_text_output(self, capsys, series_path):
         code, out = run_cli(capsys, "test", series_path, "--lrd", "0.6")
         assert code == 0
@@ -191,7 +200,7 @@ class TestPowerCommand:
         assert point["density_at_d"] == pytest.approx(1 / (2 * math.sqrt(math.pi)), abs=1e-4)
 
     def test_bad_grid_spec(self, capsys):
-        for spec in ("3:0:0.5", "0:inf:1", "nan:1:0.1", "0:1:nan"):
+        for spec in ("3:0:0.5", "0:inf:1", "nan:1:0.1", "0:1:nan", "0:1e9:1e-9"):
             code, _ = run_cli(capsys, "power", "--density", "normal:1", "--d-grid", spec)
             assert code == 2, spec
 

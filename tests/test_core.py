@@ -1,5 +1,7 @@
 """Pair scoring, the extended statistic, and exceedance counts."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from lrdkendall import (
     tie_proportion,
     uv_counts,
 )
+from lrdkendall.core import PAIR_BYTES_BUDGET
 
 # Ten blood-pressure readings reused across the suite.  Brute-force pair
 # enumeration (the loop in oracle_s below) gives S=15 at d=0 and, with
@@ -35,6 +38,19 @@ def oracle_s(values, d=0.0, boundary="leq"):
             if active:
                 s += 1 if diff > 0 else -1
     return s
+
+
+def over_budget(bytes_per_cell: int, cells) -> Series:
+    """The shortest series whose kernel working set exceeds the budget."""
+    n = math.isqrt(PAIR_BYTES_BUDGET // bytes_per_cell)
+    while bytes_per_cell * cells(n) <= PAIR_BYTES_BUDGET:
+        n += 1
+    return Series.from_values(np.arange(n, dtype=float))
+
+
+def over_pair_budget() -> Series:
+    """Just too long for pair_counts, at about 34 bytes per pair."""
+    return over_budget(34, lambda n: n * (n - 1) // 2)
 
 
 class TestPairScore:
@@ -160,6 +176,12 @@ class TestUvCounts:
         series = Series.from_values(DBP)
         with pytest.raises(AnalyticUnavailable):
             uv_counts(series, LrdRule(d=0.6, direction="positive_only"))
+
+    def test_over_memory_budget_rejected(self):
+        # the n x n difference tensor and its mask take 9 bytes a cell
+        series = over_budget(9, lambda n: n * n)
+        with pytest.raises(InputError, match=f"n = {len(series)}"):
+            uv_counts(series, LrdRule(d=0.0))
 
 
 class TestTieProportion:

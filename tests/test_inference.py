@@ -15,7 +15,7 @@ from lrdkendall import (
     z_score,
 )
 
-from test_core import DBP
+from test_core import DBP, over_pair_budget
 
 
 class TestZScore:
@@ -92,6 +92,11 @@ class TestTauExtended:
 
 
 class TestRunTest:
+    def test_over_memory_budget_rejected(self):
+        series = over_pair_budget()
+        with pytest.raises(InputError, match=f"n = {len(series)} needs about"):
+            run_test(series, LrdRule(d=0.0))
+
     def test_dbp_plain(self):
         result = run_test(Series.from_values(DBP), LrdRule(d=0.0))
         assert result.s_extended == 15

@@ -10,11 +10,12 @@ from lrdkendall import (
     RegionalDataset,
     Series,
     permutation_test,
+    platelet_donations,
     regional_permutation_test,
     run_test,
 )
 
-from test_core import DBP
+from test_core import DBP, over_pair_budget
 
 
 class TestExhaustive:
@@ -98,11 +99,23 @@ class TestSampled:
         assert abs(result.null_mean) < 3 * result.null_sd / np.sqrt(result.draws)
         assert result.null_sd == pytest.approx(np.sqrt(125.0), rel=0.05)
 
+    def test_exceed_count_pinned(self):
+        # integer outcome of the seeded stream over two chunks: changing
+        # chunk sizes or stream keys moves it, and must be recorded
+        values = (np.arange(30) * 7 % 11) / 10
+        result = permutation_test(Series.from_values(values), LrdRule(d=0.3), seed=0)
+        assert result.exceed_count == 8312
+
     def test_replicates_validated(self):
         with pytest.raises(InputError):
             permutation_test(Series.from_values(DBP), replicates=0)
         with pytest.raises(InputError):
             permutation_test(Series.from_values(DBP), method="guess")
+
+    def test_over_memory_budget_rejected(self):
+        series = over_pair_budget()
+        with pytest.raises(InputError, match=f"n = {len(series)} needs about"):
+            permutation_test(series, replicates=10, method="sampled")
 
 
 class TestRegionalPermutation:
@@ -112,6 +125,12 @@ class TestRegionalPermutation:
             "a": Series(times, [1.0, 3.0, 2.0, 5.0, 4.0]),
             "b": Series(times, [2.0, 2.5, 3.0, 2.8, 3.5]),
         })
+
+    def test_exceed_count_pinned(self):
+        # 10000 draws are chunks of 4096, 4096 and 1808 for five periods
+        policy = LrdPolicy(value=0.2, boundary="lt")
+        result = regional_permutation_test(platelet_donations(), policy, seed=0)
+        assert result.exceed_count == 66
 
     def test_deterministic(self):
         a = regional_permutation_test(self.data, replicates=1000, seed=7)

@@ -105,18 +105,13 @@ class TestRegionalDataset:
 class TestLrdPolicy:
     def test_absolute_rule(self):
         policy = LrdPolicy(kind="absolute", value=0.2)
-        rule = policy.rule_for("x", Series.from_values([1.0, 2.0]))
+        rule = policy.rule_for(Series.from_values([1.0, 2.0]))
         assert rule == LrdRule(d=0.2)
 
     def test_fraction_of_group_mean(self):
         policy = LrdPolicy(kind="fraction_of_group_mean", value=0.1)
-        rule = policy.rule_for("x", Series.from_values([2.0, 4.0]))
+        rule = policy.rule_for(Series.from_values([2.0, 4.0]))
         assert rule.d == pytest.approx(0.3)  # 10% of mean 3.0
-
-    def test_override_wins(self):
-        policy = LrdPolicy(kind="fraction_of_group_mean", value=0.1, overrides={"x": 0.7})
-        rule = policy.rule_for("x", Series.from_values([2.0, 4.0]))
-        assert rule.d == 0.7
 
     def test_validation(self):
         with pytest.raises(InputError):

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from lrdkendall import (
 )
 from lrdkendall.simulation import THREADS_ENV
 
+REPO = Path(__file__).resolve().parents[1]
+
 
 def make_scenario(**overrides):
     kwargs = dict(
@@ -25,7 +28,7 @@ def make_scenario(**overrides):
         d_ratios=(0.0, 1.0), replicates=2000, seed=99,
     )
     kwargs.update(overrides)
-    return Scenario.build(**kwargs)
+    return Scenario(**kwargs)
 
 
 class TestScenario:
@@ -51,12 +54,7 @@ class TestScenario:
         with pytest.raises(InputError):
             make_scenario(replicates=0)
         with pytest.raises(InputError):
-            # stated scale must match the density actually attached
-            Scenario(
-                theta=0.0, p=1.0, n=10,
-                density=density_for("normal", 5.0), error_sd=7.0,
-                d_ratios=(0.0,),
-            )
+            make_scenario(distribution="cauchy")
 
 
 class TestRunCell:
@@ -143,6 +141,16 @@ class TestRunGrid:
         finally:
             os.environ.pop(THREADS_ENV, None)
         assert single == pooled
+
+    def test_smoke_grid_rejection_counts_pinned(self):
+        # integer outcomes of the seeded streams: changing chunk sizes or
+        # stream keys moves them, and must then be recorded as deliberate
+        grid = run_grid(load_grid_config(REPO / "configs" / "smoke_grid.json"))
+        counts = {
+            (key.theta, key.d_ratio): round(cell.rejection_rate * cell.replicates_used)
+            for key, cell in grid.items()
+        }
+        assert counts == {(0.0, 0.0): 87, (0.0, 1.0): 71, (1.0, 0.0): 655, (1.0, 1.0): 665}
 
     def test_bad_thread_env_rejected(self):
         try:
