@@ -13,27 +13,14 @@ Example:
 import argparse
 import sys
 
-from lrdkendall import (
-    AnalyticUnavailable,
-    ErrorDensity,
-    power_curve,
-    power_gain_condition,
-)
-
-
-def parse_density(text):
-    kind, _, rest = text.partition(":")
-    if kind == "normal":
-        return ErrorDensity.normal(float(rest))
-    if kind == "uniform":
-        lower, upper = rest.split(":")
-        return ErrorDensity.uniform(float(lower), float(upper))
-    raise SystemExit(f"unsupported density {text!r}, use normal:SIGMA or uniform:A:B")
+from lrdkendall import AnalyticUnavailable, InputError, power_curve, power_gain_condition
+from lrdkendall.cli import _parse_density, _parse_grid
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--density", default="normal:1")
+    parser.add_argument("--density", default="normal:1",
+                        help="normal:SIGMA | uniform:LOWER:UPPER | file:PATH")
     parser.add_argument("--slope", type=float, default=0.05)
     parser.add_argument("--start", type=float, default=0.0)
     parser.add_argument("--stop", type=float, default=3.0)
@@ -41,14 +28,13 @@ def main(argv=None):
     parser.add_argument("--alpha", type=float, default=0.05)
     args = parser.parse_args(argv)
 
-    density = parse_density(args.density)
-    grid = []
-    d = args.start
-    while d <= args.stop + args.step / 2:
-        grid.append(round(d, 12))
-        d += args.step
-
-    points = power_curve(density, args.slope, grid, alpha_level=args.alpha)
+    try:
+        density = _parse_density(args.density)
+        grid = _parse_grid(f"{args.start!r}:{args.stop!r}:{args.step!r}")
+        points = power_curve(density, args.slope, grid, alpha_level=args.alpha)
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     best = max(points, key=lambda pt: -1.0 if pt.drift is None else pt.drift)
     print("    d      g(d)     drift     power")
     for pt in points:

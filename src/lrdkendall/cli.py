@@ -18,7 +18,7 @@ from .core import LrdRule
 from .datasets import read_input_file
 from .errors import InputError, InvalidMoments, LrdKendallError
 from .inference import run_test
-from .permutation import permutation_test, regional_permutation_test
+from .permutation import MAX_REPLICATES, permutation_test, regional_permutation_test
 from .power import ErrorDensity, power_curve
 from .regional import LrdPolicy, RegionalDataset, regional_test
 from .report import render_json, render_text, write_grid_csv
@@ -46,7 +46,8 @@ def _policy_flags(sub, with_direction: bool) -> None:
     sub.add_argument("--method", choices=["normal", "permutation", "exhaustive"],
                      default="normal", help="inference path")
     sub.add_argument("--permutations", type=int, default=10000, metavar="R",
-                     help="replicates for the permutation path")
+                     help="replicates for the permutation path, at most "
+                          f"{MAX_REPLICATES} (default 10000)")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--no-continuity", action="store_true",
                      help="standardize the raw score without the +/-1 correction")

@@ -1,8 +1,9 @@
 """Normal-approximation inference for the thresholded trend score.
 
-Args/Returns conventions follow the rest of the package: statistics are
-plain floats, the result object is a frozen dataclass, and anything that
-depends on randomness lives elsewhere (see permutation.py).
+:func:`score_rows` owns the test: the score, plug-in variance and z of
+each row of an (m, n) matrix. run_test is its m = 1 case, and the
+simulation study scores its replicates with it. Results are frozen
+dataclasses; anything that depends on randomness is in permutation.py.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .core import LrdRule, Series, pair_counts, uv_counts
+from .core import LrdRule, Series, exceedance_counts, pair_counts
 from .errors import AnalyticUnavailable, InputError
 from .variance import var_classical, var_extended_hat, tie_groups
 
@@ -25,35 +26,33 @@ HEAVY_TIES = 0.6      # zero-score pair fraction at or above this
 SIDEDNESS = ("two_sided", "greater", "less")
 
 
-def z_score(s_ex: int, variance: float, continuity: bool = True) -> float:
-    """Standardized score, optionally continuity-corrected.
+def z_score(s_ex, variance, continuity: bool = True):
+    """Standardized score, optionally continuity-corrected; elementwise on arrays.
 
     With the correction, z = (s - 1)/sqrt(var) for s > 0 and
     (s + 1)/sqrt(var) for s < 0; z = 0 at s = 0. Without it, z =
     s/sqrt(var).
 
     Args:
-        s_ex: Observed score (integer-valued).
-        variance: Null variance; must be nonnegative.
+        s_ex: Observed score (integer-valued), a scalar or an array.
+        variance: Null variance, broadcast against s_ex; must be >= 0.
         continuity: Apply the +/-1 correction toward zero.
 
     Returns:
-        The z statistic. When variance is 0: 0.0 for s_ex == 0,
-        signed infinity otherwise.
+        The z statistic, a float for scalar input. Where variance is 0:
+        0.0 for s_ex == 0, signed infinity otherwise.
     """
-    if not np.isfinite(variance) or variance < 0:
+    var = np.asarray(variance, dtype=float)
+    if not np.all(np.isfinite(var)) or np.any(var < 0):
         raise InputError(f"variance must be finite and >= 0, got {variance!r}")
-    if variance == 0.0:
-        if s_ex == 0:
-            return 0.0
-        return math.inf if s_ex > 0 else -math.inf
-    s = float(s_ex)
+    s = np.asarray(s_ex, dtype=float)
     if continuity:
-        if s > 0:
-            s -= 1.0
-        elif s < 0:
-            s += 1.0
-    return s / math.sqrt(variance)
+        s = s - np.sign(s)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # var = 0: the raw score over 0 is +/-inf, or NaN (a sure tie) at s = 0
+        z = np.where(var > 0, s, s_ex) / np.sqrt(var)
+    z = np.where(np.isnan(z), 0.0, z)
+    return float(z) if z.ndim == 0 else z
 
 
 def p_value(z: float, sidedness: str = "two_sided") -> float:
@@ -106,6 +105,28 @@ def tau_extended(s_ex: int, scoring: int, n: int) -> tuple[float, float | None]:
         return tau_a, None
     tau_b = s_ex / math.sqrt(scoring * pairs)
     return tau_a, tau_b
+
+
+def tie_fraction(scoring, n: int):
+    """Fraction of the n(n-1)/2 pairs that do not score: the ties under the rule."""
+    pairs = n * (n - 1) // 2
+    return (pairs - scoring) / pairs
+
+
+def score_rows(rows: np.ndarray, rule: LrdRule, continuity: bool = True):
+    """The analytic test's (s, scoring, variance, z) for each row of an (m, n) matrix.
+
+    Score, number of pairs scoring +/-1, plug-in variance and z, one entry
+    per row (series). Symmetric rules only; others raise AnalyticUnavailable.
+    """
+    if rule.direction != "symmetric":
+        raise AnalyticUnavailable(
+            "analytic inference covers the symmetric rule only; "
+            "use permutation_test for one-directional rules"
+        )
+    s, scoring = pair_counts(rows, rule)
+    variance = var_extended_hat(*exceedance_counts(rows, rule))
+    return s, scoring, variance, z_score(s, variance, continuity=continuity)
 
 
 @dataclass(frozen=True)
@@ -162,21 +183,12 @@ def run_test(
     """
     if rule is None:
         rule = LrdRule(d=0.0)
-    if rule.direction != "symmetric":
-        raise AnalyticUnavailable(
-            "analytic inference covers the symmetric rule only; "
-            "use permutation_test for one-directional rules"
-        )
     n = len(series)
-    s, scoring = pair_counts(series.values[None, :], rule)
-    s_ex, scoring = int(s[0]), int(scoring[0])
-    u, v = uv_counts(series, rule)
-    variance = var_extended_hat(u, v)
+    s, scoring, variance, z = score_rows(series.values[None, :], rule, continuity)
+    s_ex, scoring, variance, z = int(s[0]), int(scoring[0]), float(variance[0]), float(z[0])
     vclass = var_classical(n, tie_groups(series.values))
-    z = z_score(s_ex, variance, continuity=continuity)
     p = p_value(z, sidedness)  # infinite z falls out as p = 0 (or 1)
-    pairs = n * (n - 1) // 2
-    pi_t = (pairs - scoring) / pairs
+    pi_t = tie_fraction(scoring, n)
     tau_a, tau_b = tau_extended(s_ex, scoring, n)
 
     warns: list[str] = []

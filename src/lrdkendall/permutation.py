@@ -27,6 +27,7 @@ from .regional import LrdPolicy, RegionalDataset
 from .seeds import chunks
 
 EXHAUSTIVE_MAX_N = 8          # 8! = 40320 orderings; 9! starts to drag
+MAX_REPLICATES = 10**7        # the null array of scores is then 80 MB
 _CHUNK_ELEMENTS = 4_000_000   # target pairwise-matrix size per chunk
 
 
@@ -59,8 +60,10 @@ def _rows_per_chunk(n: int) -> int:
 def _check_args(sidedness: str, replicates: int) -> None:
     if sidedness not in SIDEDNESS:
         raise InputError(f"sidedness must be one of {SIDEDNESS}, got {sidedness!r}")
-    if replicates < 1:
-        raise InputError(f"replicates must be >= 1, got {replicates}")
+    if not 1 <= replicates <= MAX_REPLICATES:
+        raise InputError(
+            f"replicates must be between 1 and {MAX_REPLICATES}, got {replicates}"
+        )
 
 
 def _sampled_null(groups, replicates: int, seed: int) -> np.ndarray:
@@ -118,7 +121,7 @@ def permutation_test(
         series: Observations in time order.
         rule: Comparison policy (any direction); default d = 0.
         replicates: Number of sampled permutations (ignored in
-            exhaustive mode); at least 1.
+            exhaustive mode); from 1 to MAX_REPLICATES.
         seed: Base seed for the chunked draw streams.
         sidedness: "two_sided", "greater", or "less".
         method: "auto" enumerates all orderings for n <= 8 and samples

@@ -7,14 +7,14 @@ are comparable across error scales. Each (distribution, n, error_sd,
 theta, p, d_ratio) cell gets its own deterministic random stream under
 the seeding contract in seeds.py; results are therefore reproducible
 cell by cell and independent of execution order, threading, and which
-other cells run. Pair scores and u/v counts come from the kernels in
-core.py.
+other cells run. Replicates are scored by inference.score_rows, the
+statistic that run_test reports.
 
 Design notes, fixed on purpose:
 
-* Rejection decisions use the normal-approximation path (continuity
-  corrected, two-sided p <= alpha), because that is the procedure whose
-  operating characteristics the study measures.
+* A replicate rejects when |z| >= critical_value(alpha): the continuity
+  corrected, two-sided normal test at size alpha, because that is the
+  procedure whose operating characteristics the study measures.
 * The error scale enters twice: it generates the noise and it converts
   d_ratio to an absolute threshold. A cell is scale-equivariant, so the
   size columns are flat across error scales up to Monte Carlo noise.
@@ -35,9 +35,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import LrdRule, exceedance_counts, pair_counts
+from .core import LrdRule
 from .errors import InputError
-from .inference import critical_value
+from .inference import critical_value, score_rows, tie_fraction
 from .power import ErrorDensity
 from .seeds import chunks
 
@@ -152,28 +152,6 @@ def _simulate_chunk(rng, scenario: Scenario, m: int) -> np.ndarray:
     return signal + noise
 
 
-def _test_rows(rows: np.ndarray, rule: LrdRule, z_crit: float):
-    """Vectorized two-sided test on each row: (reject?, tie proportion).
-
-    A row rejects when |z| >= z_crit (see inference.critical_value),
-    the same decision as a two-sided p-value at or below the size.
-    """
-    n = rows.shape[1]
-    s, scoring = pair_counts(rows, rule)
-    u, v = exceedance_counts(rows, rule)
-    var = (((u - v) ** 2).sum(axis=1) + u.sum(axis=1)) / 3.0
-
-    corrected = s - np.sign(s)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(var > 0, corrected / np.sqrt(var), 0.0)
-    reject = np.abs(z) >= z_crit
-    # degenerate variance: conclusive for s != 0, a sure tie otherwise
-    reject = np.where(var == 0, s != 0, reject)
-
-    pairs = n * (n - 1) // 2
-    return reject, (pairs - scoring) / pairs
-
-
 def run_cell(scenario: Scenario, d_ratio: float) -> CellResult:
     """Simulate one cell: rejection rate and mean tie proportion.
 
@@ -191,9 +169,9 @@ def run_cell(scenario: Scenario, d_ratio: float) -> CellResult:
     for rng, m in chunks(
         scenario.seed, ("sim", *key), scenario.replicates, _rows_per_chunk(scenario.n)
     ):
-        reject, ties = _test_rows(_simulate_chunk(rng, scenario, m), rule, z_crit)
-        rejections += int(reject.sum())
-        tie_total += float(ties.sum())
+        _, scoring, _, z = score_rows(_simulate_chunk(rng, scenario, m), rule)
+        rejections += int(np.count_nonzero(np.abs(z) >= z_crit))
+        tie_total += float(tie_fraction(scoring, scenario.n).sum())
 
     rate = rejections / scenario.replicates
     return CellResult(
@@ -265,6 +243,33 @@ _CONFIG_KEYS = {
 }
 
 
+def _list(raw: dict, key: str) -> list:
+    """The JSON array under ``key``."""
+    if not isinstance(raw[key], list):
+        raise InputError(f"{key} must be a list, got {raw[key]!r}")
+    return raw[key]
+
+
+def _integer(value, name: str) -> int:
+    """An integral JSON number (2 or 2.0) as an int."""
+    if type(value) is float and value.is_integer():
+        return int(value)
+    if type(value) is not int:
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _number(value, name: str) -> float:
+    """A finite JSON number as a float."""
+    try:
+        x = float(value) if type(value) in (int, float) else math.nan
+    except OverflowError:  # an int beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise InputError(f"{name} must be a finite number, got {value!r}")
+    return x
+
+
 def load_grid_config(path, replicates: int | None = None, seed: int | None = None):
     """Read a JSON grid config into a list of Scenarios.
 
@@ -281,7 +286,9 @@ def load_grid_config(path, replicates: int | None = None, seed: int | None = Non
     Each (distribution, n, sd_base, trend) combination becomes one
     Scenario with error_sd = sd_base ** p, so the noise scale tracks the
     trend's curvature (see the module notes). The replicates and seed
-    arguments override the file's values when given.
+    arguments override the file's values when given. Counts, seeds and
+    p must be integers (2.0 reads as 2), sd_bases must be > 0, and any
+    malformed value raises InputError.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -297,31 +304,41 @@ def load_grid_config(path, replicates: int | None = None, seed: int | None = Non
     if missing:
         raise InputError(f"missing config keys: {sorted(missing)}")
 
-    reps = replicates if replicates is not None else int(raw.get("replicates", 10000))
-    base_seed = seed if seed is not None else int(raw.get("seed", 0))
-    alpha = float(raw.get("alpha_level", 0.05))
+    if replicates is None:
+        replicates = _integer(raw.get("replicates", 10000), "replicates")
+    if seed is None:
+        seed = _integer(raw.get("seed", 0), "seed")
+    alpha = _number(raw.get("alpha_level", 0.05), "alpha_level")
+    sizes = [_integer(n, "sample_sizes entry") for n in _list(raw, "sample_sizes")]
+    sd_bases = [_number(b, "sd_bases entry") for b in _list(raw, "sd_bases")]
+    if any(b <= 0 for b in sd_bases):
+        raise InputError(f"sd_bases must be > 0, got {sd_bases!r}")
+    d_ratios = tuple(_number(r, "d_ratios entry") for r in _list(raw, "d_ratios"))
+    trends = []
+    for trend in _list(raw, "trends"):
+        if not isinstance(trend, dict) or set(trend) != {"theta", "p"}:
+            raise InputError(f"each trend needs exactly theta and p, got {trend!r}")
+        trends.append((_number(trend["theta"], "theta"), _integer(trend["p"], "p")))
 
     scenarios = []
-    for dist in raw["distributions"]:
-        for n in raw["sample_sizes"]:
-            for sd_base in raw["sd_bases"]:
-                for trend in raw["trends"]:
-                    if not isinstance(trend, dict) or set(trend) != {"theta", "p"}:
-                        raise InputError(
-                            f"each trend needs exactly theta and p, got {trend!r}"
-                        )
-                    p = int(trend["p"])
-                    error_sd = float(sd_base) ** p
+    for dist in _list(raw, "distributions"):
+        for n in sizes:
+            for sd_base in sd_bases:
+                for theta, p in trends:
+                    try:
+                        error_sd = sd_base ** p
+                    except OverflowError:
+                        raise InputError(f"sd_base {sd_base!r} ** p {p} overflows") from None
                     scenarios.append(
                         Scenario(
-                            theta=float(trend["theta"]),
+                            theta=theta,
                             p=p,
-                            n=int(n),
+                            n=n,
                             distribution=dist,
                             error_sd=error_sd,
-                            d_ratios=tuple(float(r) for r in raw["d_ratios"]),
-                            replicates=reps,
-                            seed=base_seed,
+                            d_ratios=d_ratios,
+                            replicates=replicates,
+                            seed=seed,
                             alpha_level=alpha,
                         )
                     )

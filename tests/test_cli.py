@@ -100,6 +100,12 @@ class TestTestCommand:
         )
         assert code == 0
 
+    def test_permutation_count_out_of_range(self, capsys, series_path):
+        for count in ("0", "10000001", "1000000000000"):
+            code, _ = run_cli(capsys, "test", series_path, "--method", "permutation",
+                              "--permutations", count)
+            assert code == 2, count
+
     def test_missing_file(self, capsys):
         code, _ = run_cli(capsys, "test", "no/such/file.csv")
         assert code == 2
@@ -242,6 +248,14 @@ class TestSimulateCommand:
         path.write_text('{"nope": 1}')
         code, _ = run_cli(capsys, "simulate", "--config", str(path))
         assert code == 2
+
+    def test_malformed_config_value_exits_2(self, capsys, tmp_path):
+        with open("configs/smoke_grid.json", encoding="utf-8") as fh:
+            config = json.load(fh)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(config, sample_sizes=["x"])))
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: sample_sizes entry")
 
 
 class TestExitCodes:

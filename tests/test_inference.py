@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from lrdkendall import (
@@ -43,6 +44,26 @@ class TestZScore:
         assert z_score(-5, 0.0) == -math.inf
         with pytest.raises(InputError):
             z_score(5, -1.0)
+
+    @pytest.mark.parametrize("continuity", [True, False])
+    def test_array_matches_scalar_calls(self, continuity):
+        scores = np.array([0, 1, -1, 5, -5, 41, 0, 1, -1, 5, -5, 2])
+        variances = np.array([0.0] * 5 + [315.67, 4.0, 4.0, 4.0, 25.0, 25.0, 1e-300])
+        z = z_score(scores, variances, continuity=continuity)
+        assert isinstance(z, np.ndarray) and z.shape == scores.shape
+        for zk, sk, vk in zip(z, scores, variances):
+            want = z_score(int(sk), float(vk), continuity=continuity)
+            assert isinstance(want, float)
+            assert np.float64(zk).tobytes() == np.float64(want).tobytes()
+
+    def test_array_zero_variance_rule(self):
+        z = z_score(np.array([0, 1, -1, 5, -5]), 0.0)
+        assert z.tolist() == [0.0, math.inf, -math.inf, math.inf, -math.inf]
+
+    def test_array_rejects_any_bad_variance(self):
+        for bad in (np.array([1.0, -1.0]), np.array([1.0, math.nan]), np.array([math.inf, 1.0])):
+            with pytest.raises(InputError):
+                z_score(np.array([3, 3]), bad)
 
 
 class TestPValue:

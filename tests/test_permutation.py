@@ -15,6 +15,8 @@ from lrdkendall import (
     run_test,
 )
 
+from lrdkendall.permutation import MAX_REPLICATES
+
 from test_core import DBP, over_pair_budget
 
 
@@ -51,6 +53,15 @@ class TestExhaustive:
 
 
 class TestSampled:
+    def test_replicate_cap(self):
+        # checked before any draw: 10**12 used to fail allocating 7.28 TiB
+        series = Series.from_values(DBP)
+        for count in (MAX_REPLICATES + 1, 10**12):
+            with pytest.raises(InputError):
+                permutation_test(series, replicates=count)
+            with pytest.raises(InputError):
+                regional_permutation_test(platelet_donations(), replicates=count)
+
     def test_add_one_keeps_p_positive(self):
         series = Series.from_values(np.arange(20.0))  # extreme trend
         result = permutation_test(series, replicates=500, seed=3)

@@ -33,6 +33,7 @@ from lrdkendall import (
     z_score,
 )
 from lrdkendall.core import DIRECTIONS, exceedance_counts, pair_counts
+from lrdkendall.inference import score_rows, tie_fraction
 
 int_values = st.lists(
     st.integers(min_value=-50, max_value=50).map(float), min_size=3, max_size=25,
@@ -44,6 +45,17 @@ boundaries = st.sampled_from(["leq", "lt"])
 matrices = st.lists(int_values, min_size=1, max_size=4).map(
     lambda rows: np.array([r[: min(map(len, rows))] for r in rows])
 )
+
+# values and thresholds on a 0.1 grid: duplicates are common, and so are
+# differences that land on d or miss it by one rounding step
+tenths = st.integers(-15, 15).map(lambda k: k / 10)
+tenth_matrices = st.lists(
+    st.lists(tenths, min_size=3, max_size=12), min_size=1, max_size=4
+).map(lambda rows: np.array([r[: min(map(len, rows))] for r in rows]))
+
+
+def same_bits(a, b) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
 
 
 @given(
@@ -74,6 +86,24 @@ def test_pair_counts_match_scalar_pair_score(rows, d, boundary, direction):
         scores = [pair_score(row[i], row[j], rule) for i in range(n) for j in range(i + 1, n)]
         assert s[k] == sum(scores)
         assert scoring[k] == sum(score != 0 for score in scores)
+
+
+@given(
+    rows=tenth_matrices,
+    d=st.integers(0, 10).map(lambda k: k / 10),
+    boundary=boundaries,
+    continuity=st.booleans(),
+)
+def test_score_rows_match_run_test_row_by_row(rows, d, boundary, continuity):
+    rule = LrdRule(d=d, boundary=boundary)
+    s, scoring, variance, z = score_rows(rows, rule, continuity)
+    n = rows.shape[1]
+    for k, row in enumerate(rows):
+        single = run_test(Series.from_values(row), rule, continuity=continuity)
+        assert s[k] == single.s_extended
+        assert same_bits(tie_fraction(scoring[k], n), single.tie_proportion)
+        assert same_bits(variance[k], single.variance)
+        assert same_bits(z[k], single.z)
 
 
 @given(rows=matrices, d=thresholds, boundary=boundaries)

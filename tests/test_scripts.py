@@ -1,0 +1,60 @@
+"""The example scripts under scripts/, run through their main() on small inputs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, REPO / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestReproduceTables:
+    def test_smoke_grid_tables_and_csv(self, capsys, tmp_path):
+        script = load_script("reproduce_tables")
+        out = tmp_path / "grid.csv"
+        config = str(REPO / "configs" / "smoke_grid.json")
+        assert script.main([config, "--replicates", "50", "--seed", "3", "--out", str(out)]) == 0
+        text = capsys.readouterr().out
+        assert text.startswith("4 cells in ")
+        assert "rejection rate  (normal, n=20, scale=15)" in text
+        assert "tie proportion  (normal, n=20, scale=15)" in text
+        assert len(out.read_text().splitlines()) == 5  # header + 4 cells
+
+
+class TestPowerCurveDemo:
+    def test_normal_curve(self, capsys):
+        script = load_script("power_curve_demo")
+        assert script.main(["--density", "normal:1", "--step", "0.5"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = [line for line in lines[1:] if line.strip() and "gain" not in line]
+        assert [float(row.split()[0]) for row in rows] == [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
+        assert sum("<- max drift" in row for row in rows) == 1
+        assert lines[-1].startswith("gain condition holds")
+
+    def test_uniform_reports_missing_gain_condition(self, capsys):
+        script = load_script("power_curve_demo")
+        assert script.main(["--density", "uniform:-1:1", "--stop", "1", "--step", "0.5"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].startswith("gain condition: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["--density", "normal:abc"],
+        ["--density", "uniform:1"],
+        ["--density", "gamma:1"],
+        ["--step", "0"],
+        ["--step", "-0.1"],
+        ["--stop", "nan"],
+        ["--start", "2", "--stop", "1"],
+    ])
+    def test_bad_input_is_one_line_error(self, capsys, argv):
+        script = load_script("power_curve_demo")
+        assert script.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

@@ -208,3 +208,33 @@ class TestGridConfig:
         bad = dict(self.GOOD, trends=[{"theta": 1.0}])
         with pytest.raises(InputError):
             load_grid_config(self.write(tmp_path, bad))
+
+    # each used to end in a ValueError or TypeError, or was taken silently
+    # (a negative base squared, a fractional count truncated)
+    MALFORMED = [
+        {"sample_sizes": ["x"]},
+        {"sample_sizes": [10.5]},
+        {"replicates": "many"},
+        {"replicates": 1.5},
+        {"seed": 0.5},
+        {"d_ratios": 5},
+        {"d_ratios": ["x"]},
+        {"sd_bases": [-10]},
+        {"sd_bases": [0]},
+        {"trends": [{"theta": 0.0, "p": 1.5}]},
+        {"trends": [{"theta": "x", "p": 1}]},
+        {"trends": [{"theta": 0.0, "p": 10**400}]},
+        {"alpha_level": "x"},
+        {"distributions": "normal"},
+    ]
+
+    @pytest.mark.parametrize("change", MALFORMED, ids=lambda c: repr(c))
+    def test_malformed_value_rejected(self, tmp_path, change):
+        with pytest.raises(InputError):
+            load_grid_config(self.write(tmp_path, dict(self.GOOD, **change)))
+
+    def test_integral_floats_accepted(self, tmp_path):
+        good = dict(self.GOOD, sample_sizes=[10.0], replicates=100.0, seed=5.0)
+        scenarios = load_grid_config(self.write(tmp_path, good))
+        assert {(s.n, s.replicates, s.seed) for s in scenarios} == {(10, 100, 5)}
+        assert all(type(v) is int for s in scenarios for v in (s.n, s.p, s.replicates, s.seed))

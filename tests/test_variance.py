@@ -19,6 +19,8 @@ from lrdkendall import (
     var_theoretical,
 )
 
+from lrdkendall.core import exceedance_counts
+
 from test_core import DBP
 
 NULL_MOMENTS = MomentSet(1 / 3, 1 / 3, 1 / 6, 1 / 2)
@@ -70,6 +72,23 @@ class TestVarExtendedHat:
     def test_mismatched_sums_rejected(self):
         with pytest.raises(InputError):
             var_extended_hat(np.array([1, 0]), np.array([0, 0]))
+        with pytest.raises(InputError):  # one bad row in a batch is enough
+            var_extended_hat(np.array([[1, 0], [1, 0]]), np.array([[0, 1], [0, 0]]))
+        with pytest.raises(InputError):
+            var_extended_hat(np.array([[1, 0]]), np.array([0, 1]))
+
+    def test_rows_match_scalar_calls(self):
+        values = np.array([DBP, DBP[::-1], [7.0] * len(DBP), np.arange(len(DBP), dtype=float)])
+        for rule in (LrdRule(d=0.0), LrdRule(d=0.6), LrdRule(d=0.0, boundary="lt")):
+            u, v = exceedance_counts(values, rule)
+            batch = var_extended_hat(u, v)
+            assert isinstance(batch, np.ndarray) and batch.shape == (len(values),)
+            for k in range(len(values)):
+                single = var_extended_hat(u[k], v[k])
+                assert isinstance(single, float)
+                assert np.float64(batch[k]).tobytes() == np.float64(single).tobytes()
+            if rule.boundary == "leq":  # "lt" at d = 0 counts equal values
+                assert batch[2] == 0.0  # a constant row is fully tied
 
     def test_equals_classical_with_exact_ties_at_zero(self):
         # at d=0 the estimator must reproduce the tie-corrected classical
