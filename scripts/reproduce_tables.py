@@ -15,7 +15,7 @@ import sys
 import time
 from collections import defaultdict
 
-from lrdkendall import load_grid_config, run_grid, write_grid_csv
+from lrdkendall import InputError, load_grid_config, run_grid, write_grid_csv
 
 
 def blocked(grid):
@@ -48,9 +48,13 @@ def main(argv=None):
     parser.add_argument("--out", default=None, help="also write the flat grid as CSV")
     args = parser.parse_args(argv)
 
-    scenarios = load_grid_config(args.config, replicates=args.replicates, seed=args.seed)
-    start = time.time()
-    grid = run_grid(scenarios)
+    try:
+        scenarios = load_grid_config(args.config, replicates=args.replicates, seed=args.seed)
+        start = time.time()
+        grid = run_grid(scenarios)
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"{len(grid)} cells in {time.time() - start:.1f} s")
 
     blocks = blocked(grid)

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
-from .core import LrdRule
 from .datasets import read_input_file
-from .errors import InputError, InvalidMoments, LrdKendallError
+from .errors import InputError, LrdKendallError
 from .inference import run_test
 from .permutation import MAX_REPLICATES, permutation_test, regional_permutation_test
 from .power import ErrorDensity, power_curve
@@ -101,14 +101,16 @@ def _emit(result, fmt: str) -> int:
     return 0
 
 
+def _policy(args) -> LrdPolicy:
+    """The threshold policy of the --lrd, --lrd-mode and --boundary flags."""
+    return LrdPolicy(kind=_POLICY_KINDS[args.lrd_mode], value=args.lrd, boundary=args.boundary)
+
+
 def cmd_test(args) -> int:
     data = read_input_file(args.input)
     if isinstance(data, RegionalDataset):
         raise InputError("input has groups; use the regional command")
-    d = args.lrd
-    if _POLICY_KINDS[args.lrd_mode] == "fraction_of_group_mean":
-        d = args.lrd * float(np.mean(data.values))
-    rule = LrdRule(d=d, boundary=args.boundary, direction=_DIRECTIONS[args.direction])
+    rule = replace(_policy(args).rule_for(data), direction=_DIRECTIONS[args.direction])
     sidedness = _SIDEDNESS[args.sided]
     if args.method == "normal":
         result = run_test(data, rule, sidedness=sidedness,
@@ -128,11 +130,7 @@ def cmd_regional(args) -> int:
     data = read_input_file(args.input)
     if not isinstance(data, RegionalDataset):
         raise InputError("input is a single series; use the test command")
-    policy = LrdPolicy(
-        kind=_POLICY_KINDS[args.lrd_mode],
-        value=args.lrd,
-        boundary=args.boundary,
-    )
+    policy = _policy(args)
     sidedness = _SIDEDNESS[args.sided]
     if args.method == "exhaustive":
         raise InputError("exhaustive enumeration is not available for grouped input")
@@ -234,9 +232,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InvalidMoments as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -304,5 +304,10 @@ def tie_proportion(series: Series, rule: LrdRule) -> float:
             "tie_proportion is defined for the symmetric rule only"
         )
     _, scoring = pair_counts(series.values[None, :], rule)
-    pairs = len(series) * (len(series) - 1) // 2
-    return float((pairs - scoring[0]) / pairs)
+    return float(tie_fraction(scoring[0], len(series)))
+
+
+def tie_fraction(scoring, n: int):
+    """Fraction of the n(n-1)/2 pairs that do not score: the ties under the rule."""
+    pairs = n * (n - 1) // 2
+    return (pairs - scoring) / pairs

@@ -3,9 +3,6 @@
 The CLI maps these onto exit codes: anything descending from
 ``InputError`` is a usage/data problem (exit 2), everything else under
 ``LrdKendallError`` is a statistical precondition failure (exit 3).
-``InvalidMoments`` is the one exception to the rule: it subclasses
-InputError so programmatic validation reads naturally, but the CLI
-treats it as a statistical failure.
 """
 
 
@@ -25,7 +22,7 @@ class NoUsableData(InputError):
     """A grouped dataset has no complete groups left after exclusions."""
 
 
-class InvalidMoments(InputError):
+class InvalidMoments(LrdKendallError):
     """A population moment set violates its defining constraints."""
 
 

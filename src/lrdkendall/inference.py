@@ -14,7 +14,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .core import LrdRule, Series, exceedance_counts, pair_counts
+from .core import LrdRule, Series, exceedance_counts, pair_counts, tie_fraction
 from .errors import AnalyticUnavailable, InputError
 from .variance import var_classical, var_extended_hat, tie_groups
 
@@ -105,12 +105,6 @@ def tau_extended(s_ex: int, scoring: int, n: int) -> tuple[float, float | None]:
         return tau_a, None
     tau_b = s_ex / math.sqrt(scoring * pairs)
     return tau_a, tau_b
-
-
-def tie_fraction(scoring, n: int):
-    """Fraction of the n(n-1)/2 pairs that do not score: the ties under the rule."""
-    pairs = n * (n - 1) // 2
-    return (pairs - scoring) / pairs
 
 
 def score_rows(rows: np.ndarray, rule: LrdRule, continuity: bool = True):

@@ -17,7 +17,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -182,18 +183,7 @@ def render_text(result) -> str:
 
 # ── CSV for simulation grids ────────────────────────────────────────────
 
-GRID_CSV_COLUMNS = (
-    "distribution",
-    "n",
-    "error_sd",
-    "theta",
-    "p",
-    "d_ratio",
-    "rejection_rate",
-    "mean_tie_proportion",
-    "mc_stderr",
-    "replicates_used",
-)
+GRID_CSV_COLUMNS = CellKey._fields + tuple(f.name for f in fields(CellResult))
 
 
 def write_grid_csv(results: dict[CellKey, CellResult], fh) -> None:
@@ -207,21 +197,9 @@ def write_grid_csv(results: dict[CellKey, CellResult], fh) -> None:
 
 def read_grid_csv(fh) -> dict[CellKey, CellResult]:
     """Parse write_grid_csv output back into keyed results."""
-    reader = csv.DictReader(fh)
+    key_types, cell_types = get_type_hints(CellKey), get_type_hints(CellResult)
     results = {}
-    for row in reader:
-        key = CellKey(
-            distribution=row["distribution"],
-            n=int(row["n"]),
-            error_sd=float(row["error_sd"]),
-            theta=float(row["theta"]),
-            p=int(row["p"]),
-            d_ratio=float(row["d_ratio"]),
-        )
-        results[key] = CellResult(
-            rejection_rate=float(row["rejection_rate"]),
-            mean_tie_proportion=float(row["mean_tie_proportion"]),
-            mc_stderr=float(row["mc_stderr"]),
-            replicates_used=int(row["replicates_used"]),
-        )
+    for row in csv.DictReader(fh):
+        key = CellKey(**{name: kind(row[name]) for name, kind in key_types.items()})
+        results[key] = CellResult(**{name: kind(row[name]) for name, kind in cell_types.items()})
     return results

@@ -35,9 +35,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import LrdRule
+from .core import LrdRule, tie_fraction
 from .errors import InputError
-from .inference import critical_value, score_rows, tie_fraction
+from .inference import critical_value, score_rows
 from .power import ErrorDensity
 from .seeds import chunks
 
@@ -61,6 +61,27 @@ def density_for(distribution: str, error_sd: float) -> ErrorDensity:
     raise InputError(f"unknown distribution {distribution!r}")
 
 
+def _integral(value, name: str) -> int:
+    """An int, numpy integer or integral float (2.0) as an int; a bool is not one."""
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise InputError(f"{name} must be an integer, got {value!r}")
+
+
+def _real(value, name: str) -> float:
+    """A finite int, float or numpy number as a float; a bool is not one."""
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:  # an int beyond the float range
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise InputError(f"{name} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One simulation configuration, minus the threshold grid position.
@@ -69,6 +90,13 @@ class Scenario:
     with standard deviation error_sd. d_ratios lists the thresholds (as
     multiples of error_sd) this scenario should be run at; run_grid
     expands them into cells.
+
+    Construction is the one place a scenario's fields are checked. n, p,
+    replicates and seed must be integral: Python or numpy integers, or
+    integral floats such as 2.0, but not bools; they are stored as int.
+    theta, error_sd, alpha_level and each d_ratios entry must be finite
+    real numbers, and are stored as float. Anything else, or a value out
+    of range, raises InputError.
     """
 
     theta: float
@@ -82,17 +110,21 @@ class Scenario:
     alpha_level: float = 0.05
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", float(self.theta))
-        object.__setattr__(self, "p", int(self.p))
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "error_sd", float(self.error_sd))
-        object.__setattr__(self, "d_ratios", tuple(float(r) for r in self.d_ratios))
+        for name in ("n", "p", "replicates", "seed"):
+            object.__setattr__(self, name, _integral(getattr(self, name), name))
+        for name in ("theta", "error_sd", "alpha_level"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
+        try:
+            ratios = tuple(_real(r, "d_ratios entry") for r in self.d_ratios)
+        except TypeError:
+            raise InputError(f"d_ratios must be a sequence, got {self.d_ratios!r}") from None
+        object.__setattr__(self, "d_ratios", ratios)
         if self.p < 1:
             raise InputError(f"trend power p must be >= 1, got {self.p}")
         if self.n < 3:
             raise InputError(f"need n >= 3, got {self.n}")
-        if any(r < 0 or not np.isfinite(r) for r in self.d_ratios):
-            raise InputError("d_ratios must be finite and >= 0")
+        if any(r < 0 for r in ratios):
+            raise InputError(f"d_ratios must be >= 0, got {ratios!r}")
         if self.replicates < 1:
             raise InputError(f"replicates must be >= 1, got {self.replicates}")
         if not 0.0 < self.alpha_level < 1.0:
@@ -244,30 +276,10 @@ _CONFIG_KEYS = {
 
 
 def _list(raw: dict, key: str) -> list:
-    """The JSON array under ``key``."""
-    if not isinstance(raw[key], list):
-        raise InputError(f"{key} must be a list, got {raw[key]!r}")
+    """The non-empty JSON array under ``key``."""
+    if not isinstance(raw[key], list) or not raw[key]:
+        raise InputError(f"{key} must be a non-empty list, got {raw[key]!r}")
     return raw[key]
-
-
-def _integer(value, name: str) -> int:
-    """An integral JSON number (2 or 2.0) as an int."""
-    if type(value) is float and value.is_integer():
-        return int(value)
-    if type(value) is not int:
-        raise InputError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
-def _number(value, name: str) -> float:
-    """A finite JSON number as a float."""
-    try:
-        x = float(value) if type(value) in (int, float) else math.nan
-    except OverflowError:  # an int beyond the float range
-        x = math.inf
-    if not math.isfinite(x):
-        raise InputError(f"{name} must be a finite number, got {value!r}")
-    return x
 
 
 def load_grid_config(path, replicates: int | None = None, seed: int | None = None):
@@ -286,9 +298,15 @@ def load_grid_config(path, replicates: int | None = None, seed: int | None = Non
     Each (distribution, n, sd_base, trend) combination becomes one
     Scenario with error_sd = sd_base ** p, so the noise scale tracks the
     trend's curvature (see the module notes). The replicates and seed
-    arguments override the file's values when given. Counts, seeds and
-    p must be integers (2.0 reads as 2), sd_bases must be > 0, and any
-    malformed value raises InputError.
+    arguments override the file's values when given.
+
+    This function checks only the file's shape: a JSON object with the
+    known keys, every axis a non-empty list, each trend an object with
+    exactly theta and p, sd_bases finite and > 0, and p an integer
+    (2.0 reads as 2) with sd_base ** p in the float range, since those
+    two meet before any Scenario exists. Every other value goes to
+    Scenario as written, whose checks apply. Any violation raises
+    InputError.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -305,24 +323,22 @@ def load_grid_config(path, replicates: int | None = None, seed: int | None = Non
         raise InputError(f"missing config keys: {sorted(missing)}")
 
     if replicates is None:
-        replicates = _integer(raw.get("replicates", 10000), "replicates")
+        replicates = raw.get("replicates", 10000)
     if seed is None:
-        seed = _integer(raw.get("seed", 0), "seed")
-    alpha = _number(raw.get("alpha_level", 0.05), "alpha_level")
-    sizes = [_integer(n, "sample_sizes entry") for n in _list(raw, "sample_sizes")]
-    sd_bases = [_number(b, "sd_bases entry") for b in _list(raw, "sd_bases")]
+        seed = raw.get("seed", 0)
+    sd_bases = [_real(b, "sd_bases entry") for b in _list(raw, "sd_bases")]
     if any(b <= 0 for b in sd_bases):
         raise InputError(f"sd_bases must be > 0, got {sd_bases!r}")
-    d_ratios = tuple(_number(r, "d_ratios entry") for r in _list(raw, "d_ratios"))
+    d_ratios = _list(raw, "d_ratios")
     trends = []
     for trend in _list(raw, "trends"):
         if not isinstance(trend, dict) or set(trend) != {"theta", "p"}:
             raise InputError(f"each trend needs exactly theta and p, got {trend!r}")
-        trends.append((_number(trend["theta"], "theta"), _integer(trend["p"], "p")))
+        trends.append((trend["theta"], _integral(trend["p"], "p")))
 
     scenarios = []
     for dist in _list(raw, "distributions"):
-        for n in sizes:
+        for n in _list(raw, "sample_sizes"):
             for sd_base in sd_bases:
                 for theta, p in trends:
                     try:
@@ -339,7 +355,7 @@ def load_grid_config(path, replicates: int | None = None, seed: int | None = Non
                             d_ratios=d_ratios,
                             replicates=replicates,
                             seed=seed,
-                            alpha_level=alpha,
+                            alpha_level=raw.get("alpha_level", 0.05),
                         )
                     )
     return scenarios

@@ -117,22 +117,22 @@ class MomentSet:
     above_one: float
 
 
-def validate_moments(m: MomentSet, slack: float = MOMENT_SLACK) -> None:
-    """Check range and the correlation-inequality chain, with slack for rounding."""
+def validate_moments(m: MomentSet) -> None:
+    """Check range and the correlation-inequality chain, with MOMENT_SLACK for rounding."""
     for name in ("above_two", "below_two", "above_below", "above_one"):
         x = getattr(m, name)
-        if not np.isfinite(x) or x < -slack or x > 1 + slack:
+        if not np.isfinite(x) or x < -MOMENT_SLACK or x > 1 + MOMENT_SLACK:
             raise InvalidMoments(f"{name}={x!r} outside [0, 1]")
     lo = min(m.below_two, m.above_two)
     sq = m.above_one**2
-    if lo + slack < sq:
+    if lo + MOMENT_SLACK < sq:
         raise InvalidMoments(
             f"min(above_two, below_two)={lo!r} < above_one^2={sq!r} "
-            f"beyond slack {slack}"
+            f"beyond slack {MOMENT_SLACK}"
         )
-    if sq + slack < m.above_below:
+    if sq + MOMENT_SLACK < m.above_below:
         raise InvalidMoments(
-            f"above_one^2={sq!r} < above_below={m.above_below!r} beyond slack {slack}"
+            f"above_one^2={sq!r} < above_below={m.above_below!r} beyond slack {MOMENT_SLACK}"
         )
 
 

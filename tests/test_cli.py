@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, format parity, reproducibility."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -255,7 +256,24 @@ class TestSimulateCommand:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(dict(config, sample_sizes=["x"])))
         assert main(["simulate", "--config", str(path)]) == 2
-        assert capsys.readouterr().err.startswith("error: sample_sizes entry")
+        assert capsys.readouterr().err == "error: n must be an integer, got 'x'\n"
+        # a bad value for any Scenario field, or an empty axis, exits 2 too
+        for change in [
+            {"trends": [{"theta": 0.0, "p": 1.7}]},
+            {"sample_sizes": [10.9]},
+            {"replicates": 1.5},
+            {"replicates": True},
+            {"seed": 0.5},
+            {"trends": [{"theta": "x", "p": 1}]},
+            {"trends": [{"theta": math.nan, "p": 1}]},
+            {"d_ratios": "01"},
+            {"d_ratios": 5},
+            {"sample_sizes": []},
+        ]:
+            path.write_text(json.dumps(dict(config, **change)))
+            assert main(["simulate", "--config", str(path)]) == 2, change
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestExitCodes:

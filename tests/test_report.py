@@ -95,6 +95,9 @@ class TestGridCsv:
         buffer.seek(0)
         again = read_grid_csv(buffer)
         assert again == grid
+        # 20 == 20.0, so equality alone would pass float keys
+        key, cell = next(iter(again.items()))
+        assert (type(key.n), type(key.p), type(cell.replicates_used)) == (int, int, int)
 
     def test_header_names_are_stable(self):
         grid = run_grid([make_scenario(replicates=50)])

@@ -1,6 +1,7 @@
 """The example scripts under scripts/, run through their main() on small inputs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,16 @@ class TestReproduceTables:
         assert "rejection rate  (normal, n=20, scale=15)" in text
         assert "tie proportion  (normal, n=20, scale=15)" in text
         assert len(out.read_text().splitlines()) == 5  # header + 4 cells
+
+    def test_malformed_config_is_one_line_error(self, capsys, tmp_path):
+        script = load_script("reproduce_tables")
+        config = json.loads((REPO / "configs" / "smoke_grid.json").read_text())
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(config, sample_sizes=["x"])))
+        assert script.main([str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 class TestPowerCurveDemo:

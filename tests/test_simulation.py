@@ -55,6 +55,43 @@ class TestScenario:
             make_scenario(replicates=0)
         with pytest.raises(InputError):
             make_scenario(distribution="cauchy")
+        # most used to be truncated, keyed as their own stream, or to end in
+        # a bare ValueError, TypeError or OverflowError
+        for change in [
+            {"p": 1.7},
+            {"n": 10.9},
+            {"replicates": 1.5},
+            {"seed": 0.5},
+            {"theta": "x"},
+            {"theta": math.nan},
+            {"error_sd": math.inf},
+            {"alpha_level": None},
+            {"d_ratios": "01"},
+            {"d_ratios": 5},
+            {"d_ratios": (0.0, math.nan)},
+            {"n": True},
+            {"replicates": np.bool_(True)},
+            {"seed": "5"},
+            {"theta": 10**400},
+        ]:
+            with pytest.raises(InputError):
+                make_scenario(**change)
+
+    def test_numpy_scalars_normalized(self):
+        scenario = make_scenario(
+            n=np.int64(20), p=np.int32(2), replicates=np.uint16(50), seed=np.int64(7),
+            theta=np.float32(0.5), error_sd=np.float64(10.0), alpha_level=np.float64(0.05),
+            d_ratios=np.array([0.0, 1.0]),
+        )
+        fields = (scenario.n, scenario.p, scenario.replicates, scenario.seed)
+        assert fields == (20, 2, 50, 7) and all(type(v) is int for v in fields)
+        reals = (scenario.theta, scenario.error_sd, scenario.alpha_level, *scenario.d_ratios)
+        assert reals == (0.5, 10.0, 0.05, 0.0, 1.0) and all(type(v) is float for v in reals)
+
+    def test_integral_float_seed_shares_the_int_streams(self):
+        assert run_cell(make_scenario(seed=5.0, replicates=100), 1.0) == run_cell(
+            make_scenario(seed=5, replicates=100), 1.0
+        )
 
 
 class TestRunCell:
@@ -226,6 +263,11 @@ class TestGridConfig:
         {"trends": [{"theta": 0.0, "p": 10**400}]},
         {"alpha_level": "x"},
         {"distributions": "normal"},
+        {"distributions": []},
+        {"sample_sizes": []},
+        {"sd_bases": []},
+        {"trends": []},
+        {"d_ratios": []},
     ]
 
     @pytest.mark.parametrize("change", MALFORMED, ids=lambda c: repr(c))
