@@ -18,10 +18,11 @@ import numpy as np
 from .datasets import read_input_file
 from .errors import InputError, LrdKendallError
 from .inference import run_test
-from .permutation import MAX_REPLICATES, permutation_test, regional_permutation_test
+from .permutation import permutation_test, regional_permutation_test
 from .power import ErrorDensity, power_curve
 from .regional import LrdPolicy, RegionalDataset, regional_test
 from .report import render_json, render_text, write_grid_csv
+from .seeds import MAX_REPLICATES
 from .simulation import load_grid_config, run_grid
 
 _DIRECTIONS = {"sym": "symmetric", "pos": "positive_only", "neg": "negative_only"}
@@ -85,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("simulate", help="Monte Carlo grid from a JSON config")
     s.add_argument("--config", required=True, help="grid config path (schema in simulation.py)")
     s.add_argument("--replicates", type=int, default=None,
-                   help="override the config's replicate count")
+                   help=f"override the config's replicate count, at most {MAX_REPLICATES}")
     s.add_argument("--seed", type=int, default=None, help="override the config's seed")
     s.add_argument("--out", default=None, metavar="PATH",
                    help="also write the grid as CSV to this path")
@@ -149,21 +150,20 @@ def cmd_regional(args) -> int:
 
 def _parse_density(spec: str) -> ErrorDensity:
     kind, _, rest = spec.partition(":")
-    if kind == "normal":
-        try:
-            return ErrorDensity.normal(float(rest))
-        except ValueError:
-            raise InputError(f"bad normal density spec {spec!r}") from None
-    if kind == "uniform":
-        parts = rest.split(":")
-        if len(parts) != 2:
-            raise InputError(f"uniform density spec needs LOWER:UPPER, got {spec!r}")
-        try:
-            return ErrorDensity.uniform(float(parts[0]), float(parts[1]))
-        except ValueError:
-            raise InputError(f"bad uniform density spec {spec!r}") from None
     if kind == "file":
         return _read_density_file(rest)
+    try:
+        if kind == "normal":
+            return ErrorDensity.normal(float(rest))
+        if kind == "uniform":
+            lower, upper = rest.split(":")
+            return ErrorDensity.uniform(float(lower), float(upper))
+    except InputError:
+        raise  # the density's own reason
+    except ValueError:
+        raise InputError(
+            f"bad density spec {spec!r}; expected normal:SIGMA or uniform:LOWER:UPPER"
+        ) from None
     raise InputError(f"unknown density kind in {spec!r}")
 
 

@@ -86,7 +86,7 @@ class Series:
     Args:
         times: Strictly increasing timestamps (any real or integer scale).
         values: Finite observed values, same length as ``times``.
-        label: Optional identifier carried through to reports.
+        label: Optional identifier; neither the tests nor the reports read it.
     """
 
     times: np.ndarray
@@ -170,12 +170,23 @@ def pair_score(xi: float, xj: float, rule: LrdRule) -> int:
     return 1
 
 
-def _check_budget(rows: np.ndarray, need: int) -> None:
+def _check_budget(rows: np.ndarray) -> None:
+    # (8 + 9m) n^2 bytes covers both kernels: pair_counts' index arrays, deltas
+    # and masks, and exceedance_counts' n x n diff and mask; one series fails from n = 11 240
+    m, n = rows.shape
+    need = (8 + 9 * m) * n * n
     if need > PAIR_BYTES_BUDGET:
         raise InputError(
-            f"{rows.shape[0]} series of n = {rows.shape[1]} needs about {need} "
+            f"{m} series of n = {n} needs about {need} "
             f"bytes of pairwise arrays, over the budget of {PAIR_BYTES_BUDGET}"
         )
+
+
+def _symmetric_only(rule: LrdRule, what: str) -> None:
+    """Refuse a one-directional rule where only the symmetric theory exists."""
+    if rule.direction != "symmetric":
+        raise AnalyticUnavailable(f"{what} is defined for the symmetric rule only; use "
+                                  f"the permutation test for direction={rule.direction!r}")
 
 
 def pair_counts(rows: np.ndarray, rule: LrdRule) -> tuple[np.ndarray, np.ndarray]:
@@ -199,10 +210,8 @@ def pair_counts(rows: np.ndarray, rule: LrdRule) -> tuple[np.ndarray, np.ndarray
         >>> int(s[0]), int(scoring[0])
         (14, 40)
     """
-    m, n = rows.shape
-    # two index arrays, the deltas and their temporary, two boolean masks
-    _check_budget(rows, (16 + 18 * m) * (n * (n - 1) // 2))
-    i, j = np.triu_indices(n, k=1)
+    _check_budget(rows)
+    i, j = np.triu_indices(rows.shape[1], k=1)
     deltas = rows[:, j]
     deltas -= rows[:, i]  # later minus earlier; in place, the largest array here
     # a one-directional rule counts every move in its unthresholded direction
@@ -245,13 +254,8 @@ def exceedance_counts(rows: np.ndarray, rule: LrdRule) -> tuple[np.ndarray, np.n
     Returns:
         Pair of integer arrays of shape (m, n).
     """
-    if rule.direction != "symmetric":
-        raise AnalyticUnavailable(
-            "u/v counts (and the analytic variance) are defined for the "
-            "symmetric rule only; use the permutation test for "
-            f"direction={rule.direction!r}"
-        )
-    _check_budget(rows, 9 * rows.size * rows.shape[1])  # diff and its mask
+    _symmetric_only(rule, "the analytic variance (u/v counts)")
+    _check_budget(rows)
     diff = rows[:, :, None] - rows[:, None, :]
     hit = _exceeds(diff, rule.d, rule.boundary)
     diagonal = np.arange(rows.shape[1])
@@ -299,10 +303,7 @@ def tie_proportion(series: Series, rule: LrdRule) -> float:
     Returns:
         0.0 when every pair is relevantly different, 1.0 when all tied.
     """
-    if rule.direction != "symmetric":
-        raise AnalyticUnavailable(
-            "tie_proportion is defined for the symmetric rule only"
-        )
+    _symmetric_only(rule, "tie_proportion")
     _, scoring = pair_counts(series.values[None, :], rule)
     return float(tie_fraction(scoring[0], len(series)))
 

@@ -15,7 +15,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .core import LrdRule, Series, exceedance_counts, pair_counts, tie_fraction
-from .errors import AnalyticUnavailable, InputError
+from .errors import InputError
 from .variance import var_classical, var_extended_hat, tie_groups
 
 # ── defaults ────────────────────────────────────────────────────────────
@@ -113,13 +113,8 @@ def score_rows(rows: np.ndarray, rule: LrdRule, continuity: bool = True):
     Score, number of pairs scoring +/-1, plug-in variance and z, one entry
     per row (series). Symmetric rules only; others raise AnalyticUnavailable.
     """
-    if rule.direction != "symmetric":
-        raise AnalyticUnavailable(
-            "analytic inference covers the symmetric rule only; "
-            "use permutation_test for one-directional rules"
-        )
-    s, scoring = pair_counts(rows, rule)
     variance = var_extended_hat(*exceedance_counts(rows, rule))
+    s, scoring = pair_counts(rows, rule)
     return s, scoring, variance, z_score(s, variance, continuity=continuity)
 
 

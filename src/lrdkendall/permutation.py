@@ -24,10 +24,9 @@ from .core import LrdRule, Series, pair_counts, s_extended
 from .errors import InputError
 from .inference import SIDEDNESS
 from .regional import LrdPolicy, RegionalDataset
-from .seeds import chunks
+from .seeds import MAX_REPLICATES, check_replicates, chunks  # the limit stays importable here
 
 EXHAUSTIVE_MAX_N = 8          # 8! = 40320 orderings; 9! starts to drag
-MAX_REPLICATES = 10**7        # the null array of scores is then 80 MB
 _CHUNK_ELEMENTS = 4_000_000   # target pairwise-matrix size per chunk
 
 
@@ -60,10 +59,7 @@ def _rows_per_chunk(n: int) -> int:
 def _check_args(sidedness: str, replicates: int) -> None:
     if sidedness not in SIDEDNESS:
         raise InputError(f"sidedness must be one of {SIDEDNESS}, got {sidedness!r}")
-    if not 1 <= replicates <= MAX_REPLICATES:
-        raise InputError(
-            f"replicates must be between 1 and {MAX_REPLICATES}, got {replicates}"
-        )
+    check_replicates(replicates)
 
 
 def _sampled_null(groups, replicates: int, seed: int) -> np.ndarray:

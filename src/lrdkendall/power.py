@@ -86,12 +86,11 @@ class ErrorDensity:
             if (
                 self.lower is None
                 or self.upper is None
-                or not np.isfinite(self.lower)
-                or not np.isfinite(self.upper)
                 or not self.lower < self.upper
+                or not math.isfinite(float(self.upper) - float(self.lower))
             ):
                 raise InputError(
-                    f"uniform density needs lower < upper, got "
+                    f"uniform density needs lower < upper and a finite width, got "
                     f"({self.lower!r}, {self.upper!r})"
                 )
         elif self.kind == "tabulated":
@@ -203,13 +202,15 @@ def diff_density(density: ErrorDensity, d: float) -> float:
     if not np.isfinite(d):
         raise InputError(f"d must be finite, got {d!r}")
     a = abs(d)
+    # ratios d / scale, squared with *: no power of the scale over- or underflows
     if density.kind == "normal":
         s = density.sigma
+        r = a / s
         # difference of two normals is normal with variance 2 sigma^2
-        return math.exp(-(a * a) / (4 * s * s)) / (2 * s * _SQRT_PI)
+        return math.exp(-(r * r) / 4) / (2 * s * _SQRT_PI)
     if density.kind == "uniform":
         w = density.upper - density.lower
-        return (w - a) / (w * w) if a < w else 0.0
+        return (w - a) / w / w if a < w else 0.0
     x = _dense_grid(density)
     fx = np.interp(x, density.grid_x, density.grid_f, left=0.0, right=0.0)
     fxa = np.interp(x + a, density.grid_x, density.grid_f, left=0.0, right=0.0)
@@ -238,15 +239,15 @@ def moments(density: ErrorDensity, d: float) -> MomentSet:
         raise InputError(f"threshold d must be finite and >= 0, got {d!r}")
 
     if density.kind == "uniform":
-        # closed forms from integrating the piecewise-linear CDF
+        # closed forms of the piecewise-linear CDF; q, q2 in [0, 1] cannot overflow
         w = density.upper - density.lower
-        r = max(w - d, 0.0)
-        r2 = max(w - 2 * d, 0.0)
+        q = max(w - d, 0.0) / w
+        q2 = max(w - 2 * d, 0.0) / w
         return MomentSet(
-            above_two=r**3 / (3 * w**3),
-            below_two=r**3 / (3 * w**3),
-            above_below=r2**3 / (6 * w**3),
-            above_one=r**2 / (2 * w**2),
+            above_two=q**3 / 3,
+            below_two=q**3 / 3,
+            above_below=q2**3 / 6,
+            above_one=q**2 / 2,
         )
 
     if density.kind == "normal":
@@ -254,9 +255,9 @@ def moments(density: ErrorDensity, d: float) -> MomentSet:
         # 1/2, so each moment is an orthant probability of a standard
         # bivariate normal at -h = -d / (sigma sqrt 2): Phi(-h)^2 plus
         # (1/2 pi) * integral from 0 to arcsin(rho) of exp(-h^2 / (1 + sin t))
-        s = density.sigma
-        above_one = 0.5 * math.erfc(d / (2 * s))  # Phi(-h)
-        h2 = d * d / (2 * s * s)
+        r = d / density.sigma
+        above_one = 0.5 * math.erfc(r / 2)  # Phi(-h)
+        h2 = r * r / 2
         tail = above_one * above_one
         above_two = tail + float(_ORTHANT_W @ np.exp(-h2 / (1.0 + _ORTHANT_SIN)))
         # rho = -1/2: the integral runs to -pi/6 and cancels against Phi(-h)^2;

@@ -53,20 +53,29 @@ def _clean(value):
 # ── machine form ────────────────────────────────────────────────────────
 
 
+def _form(result):
+    """(payload kind, text-lines builder) of any result object."""
+    if isinstance(result, TrendTestResult):
+        return "trend_test", _trend_lines
+    if isinstance(result, RegionalResult):
+        return "grouped_test", _regional_lines
+    if isinstance(result, PermutationResult):
+        return "permutation_test", _permutation_lines
+    if isinstance(result, dict):
+        return "simulation_grid", _grid_lines
+    if isinstance(result, (list, tuple)) and result and isinstance(result[0], PowerPoint):
+        return "power_curve", _curve_lines
+    raise TypeError(f"no report form for {type(result).__name__}")
+
+
 def to_payload(result) -> dict:
     """Structured full-precision document for any result object."""
-    if isinstance(result, TrendTestResult):
-        return {"kind": "trend_test", **_clean(asdict(result))}
-    if isinstance(result, RegionalResult):
-        body = _clean(asdict(result))
-        return {"kind": "grouped_test", **body}
-    if isinstance(result, PermutationResult):
-        return {"kind": "permutation_test", **_clean(asdict(result))}
-    if isinstance(result, dict):  # simulation grid
-        return {"kind": "simulation_grid", "cells": grid_rows(result)}
-    if isinstance(result, (list, tuple)) and result and isinstance(result[0], PowerPoint):
-        return {"kind": "power_curve", "points": [_clean(asdict(p)) for p in result]}
-    raise TypeError(f"no payload form for {type(result).__name__}")
+    kind, _ = _form(result)
+    if kind == "simulation_grid":
+        return {"kind": kind, "cells": grid_rows(result)}
+    if kind == "power_curve":
+        return {"kind": kind, "points": [_clean(asdict(p)) for p in result]}
+    return {"kind": kind, **_clean(asdict(result))}
 
 
 def render_json(result) -> str:
@@ -166,19 +175,8 @@ def _grid_lines(results) -> list[str]:
 
 def render_text(result) -> str:
     """Aligned human-readable report for any result object."""
-    if isinstance(result, TrendTestResult):
-        lines = _trend_lines(result)
-    elif isinstance(result, RegionalResult):
-        lines = _regional_lines(result)
-    elif isinstance(result, PermutationResult):
-        lines = _permutation_lines(result)
-    elif isinstance(result, dict):
-        lines = _grid_lines(result)
-    elif isinstance(result, (list, tuple)) and result and isinstance(result[0], PowerPoint):
-        lines = _curve_lines(result)
-    else:
-        raise TypeError(f"no text form for {type(result).__name__}")
-    return "\n".join(lines) + "\n"
+    _, lines = _form(result)
+    return "\n".join(lines(result)) + "\n"
 
 
 # ── CSV for simulation grids ────────────────────────────────────────────

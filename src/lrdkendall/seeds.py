@@ -21,10 +21,15 @@ import hashlib
 
 import numpy as np
 
+from .errors import InputError
 
-def key_string(*parts) -> str:
-    """Join task parameters into the canonical key string."""
-    return "|".join(str(p) for p in parts)
+MAX_REPLICATES = 10**7  # per sampled task; the null array of scores is then 80 MB
+
+
+def check_replicates(total: int) -> None:
+    """Refuse a replicate count outside 1..MAX_REPLICATES before any draw."""
+    if not 1 <= total <= MAX_REPLICATES:
+        raise InputError(f"replicates must be between 1 and {MAX_REPLICATES}, got {total}")
 
 
 def generator_for(*parts) -> np.random.Generator:
@@ -33,7 +38,7 @@ def generator_for(*parts) -> np.random.Generator:
     Floats render via str(), so 0.5 and 0.50 collide only if they are
     the same float. Callers should pass primitives, not containers.
     """
-    digest = hashlib.blake2b(key_string(*parts).encode(), digest_size=16).digest()
+    digest = hashlib.blake2b("|".join(map(str, parts)).encode(), digest_size=16).digest()
     key = np.frombuffer(digest, dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 

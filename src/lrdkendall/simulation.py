@@ -39,7 +39,7 @@ from .core import LrdRule, tie_fraction
 from .errors import InputError
 from .inference import critical_value, score_rows
 from .power import ErrorDensity
-from .seeds import chunks
+from .seeds import check_replicates, chunks
 
 THREADS_ENV = "LRDKENDALL_THREADS"
 _CHUNK_TARGET = 8_000_000  # upper bound on per-chunk diff-tensor elements
@@ -95,8 +95,8 @@ class Scenario:
     replicates and seed must be integral: Python or numpy integers, or
     integral floats such as 2.0, but not bools; they are stored as int.
     theta, error_sd, alpha_level and each d_ratios entry must be finite
-    real numbers, and are stored as float. Anything else, or a value out
-    of range, raises InputError.
+    real numbers, and are stored as float. n ** p and theta * n ** p must
+    be finite. Anything else, or a value out of range, raises InputError.
     """
 
     theta: float
@@ -125,8 +125,13 @@ class Scenario:
             raise InputError(f"need n >= 3, got {self.n}")
         if any(r < 0 for r in ratios):
             raise InputError(f"d_ratios must be >= 0, got {ratios!r}")
-        if self.replicates < 1:
-            raise InputError(f"replicates must be >= 1, got {self.replicates}")
+        check_replicates(self.replicates)
+        try:  # an inf signal makes NaN deltas, which would count as ties
+            peak = abs(self.theta) * float(self.n) ** self.p
+        except OverflowError:
+            peak = math.inf
+        if not math.isfinite(peak):
+            raise InputError(f"trend theta * n ** p overflows at n = {self.n}, p = {self.p}")
         if not 0.0 < self.alpha_level < 1.0:
             raise InputError(f"alpha_level must be in (0, 1), got {self.alpha_level!r}")
         density_for(self.distribution, self.error_sd)  # rejects a bad kind or error_sd
@@ -190,10 +195,8 @@ def run_cell(scenario: Scenario, d_ratio: float) -> CellResult:
     Deterministic in (scenario.seed, cell key): the replicates are drawn
     in the chunks of the stream keyed ("sim", *cell key).
     """
-    if d_ratio < 0 or not np.isfinite(d_ratio):
-        raise InputError(f"d_ratio must be finite and >= 0, got {d_ratio!r}")
     key = scenario.key(d_ratio)
-    rule = LrdRule(d=key.d_ratio * scenario.error_sd)
+    rule = LrdRule(d=key.d_ratio * scenario.error_sd)  # refuses a negative or non-finite d
     z_crit = critical_value(scenario.alpha_level)
 
     rejections = 0

@@ -11,7 +11,7 @@ import pytest
 import lrdkendall
 from lrdkendall.cli import main
 
-from test_core import over_pair_budget
+from test_core import over_budget
 
 FIXTURE = "src/lrdkendall/data/platelets_2001_2005.csv"
 
@@ -36,7 +36,7 @@ def run_cli(capsys, *argv):
 
 class TestTestCommand:
     def test_over_memory_budget_exits_2(self, capsys, tmp_path):
-        values = over_pair_budget().values
+        values = over_budget().values
         path = tmp_path / "long.csv"
         path.write_text("t,v\n" + "".join(f"{i},{x}\n" for i, x in enumerate(values)))
         assert main(["test", str(path)]) == 2
@@ -220,6 +220,14 @@ class TestPowerCommand:
         code, _ = run_cli(capsys, "power", "--density", "gamma:1")
         assert code == 2
 
+    def test_extreme_scales(self, capsys):
+        # these used to end in OverflowError (w**3) and ZeroDivisionError (4*s*s)
+        for spec in ("uniform:0:1e200", "normal:1e-200"):
+            code, raw = run_cli(capsys, "power", "--density", spec, "--format", "json")
+            assert code == 0, spec
+            moments = [v for pt in json.loads(raw)["points"] for v in pt["moments"].values()]
+            assert all(math.isfinite(v) and 0.0 <= v <= 1.0 for v in moments), spec
+
 
 class TestSimulateCommand:
     def test_smoke_grid_with_csv(self, capsys, tmp_path):
@@ -274,6 +282,27 @@ class TestSimulateCommand:
             assert main(["simulate", "--config", str(path)]) == 2, change
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
+
+
+    def test_overflowing_trend_exits_2(self, capsys, tmp_path):
+        with open("configs/smoke_grid.json", encoding="utf-8") as fh:
+            config = json.load(fh)
+        path = tmp_path / "trend.json"
+        trend = {"sd_bases": [1.0], "trends": [{"theta": 1, "p": 400}]}
+        path.write_text(json.dumps(dict(config, **trend)))
+        assert main(["simulate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: trend theta * n ** p") and err.count("\n") == 1
+
+    def test_replicate_limit_exits_2_before_any_cell(self, capsys, monkeypatch):
+        def no_run(scenarios):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr("lrdkendall.cli.run_grid", no_run)
+        argv = ["simulate", "--config", "configs/smoke_grid.json",
+                "--replicates", "1000000000000"]
+        assert main(argv) == 2
+        assert "replicates must be between 1 and" in capsys.readouterr().err
 
 
 class TestExitCodes:

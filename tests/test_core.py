@@ -1,7 +1,5 @@
 """Pair scoring, the extended statistic, and exceedance counts."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -12,11 +10,13 @@ from lrdkendall import (
     LrdRule,
     Series,
     pair_score,
+    permutation_test,
+    run_test,
     s_extended,
     tie_proportion,
     uv_counts,
 )
-from lrdkendall.core import PAIR_BYTES_BUDGET
+from lrdkendall.core import _check_budget
 
 # Ten blood-pressure readings reused across the suite.  Brute-force pair
 # enumeration (the loop in oracle_s below) gives S=15 at d=0 and, with
@@ -40,17 +40,14 @@ def oracle_s(values, d=0.0, boundary="leq"):
     return s
 
 
-def over_budget(bytes_per_cell: int, cells) -> Series:
-    """The shortest series whose kernel working set exceeds the budget."""
-    n = math.isqrt(PAIR_BYTES_BUDGET // bytes_per_cell)
-    while bytes_per_cell * cells(n) <= PAIR_BYTES_BUDGET:
-        n += 1
-    return Series.from_values(np.arange(n, dtype=float))
+#: the shortest series the pairwise memory bound refuses: (8 + 9m) n^2
+#: bytes at m = 1 first exceeds PAIR_BYTES_BUDGET (2 GiB) here
+OVER_BUDGET_N = 11_240
 
 
-def over_pair_budget() -> Series:
-    """Just too long for pair_counts, at about 34 bytes per pair."""
-    return over_budget(34, lambda n: n * (n - 1) // 2)
+def over_budget() -> Series:
+    """The shortest series every single-series entry point refuses."""
+    return Series.from_values(np.arange(OVER_BUDGET_N, dtype=float))
 
 
 class TestPairScore:
@@ -178,8 +175,7 @@ class TestUvCounts:
             uv_counts(series, LrdRule(d=0.6, direction="positive_only"))
 
     def test_over_memory_budget_rejected(self):
-        # the n x n difference tensor and its mask take 9 bytes a cell
-        series = over_budget(9, lambda n: n * n)
+        series = over_budget()
         with pytest.raises(InputError, match=f"n = {len(series)}"):
             uv_counts(series, LrdRule(d=0.0))
 
@@ -199,3 +195,20 @@ class TestTieProportion:
         series = Series.from_values(DBP)
         fractions = [tie_proportion(series, LrdRule(d=d)) for d in (0.0, 0.3, 0.6, 1.2, 3.0)]
         assert fractions == sorted(fractions)
+
+
+class TestMemoryBound:
+    def test_every_single_series_entry_point_refuses(self):
+        # one bound for both kernels: uv_counts used to accept this series
+        _check_budget(np.empty((1, OVER_BUDGET_N - 1)))  # one shorter passes
+        series = over_budget()
+        rule = LrdRule(d=0.0)
+        for call in (
+            s_extended,
+            tie_proportion,
+            uv_counts,
+            run_test,
+            lambda s, r: permutation_test(s, r, replicates=10, method="sampled"),
+        ):
+            with pytest.raises(InputError, match=f"n = {OVER_BUDGET_N} needs about"):
+                call(series, rule)

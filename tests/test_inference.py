@@ -16,7 +16,7 @@ from lrdkendall import (
     z_score,
 )
 
-from test_core import DBP, over_pair_budget
+from test_core import DBP, over_budget
 
 
 class TestZScore:
@@ -114,7 +114,7 @@ class TestTauExtended:
 
 class TestRunTest:
     def test_over_memory_budget_rejected(self):
-        series = over_pair_budget()
+        series = over_budget()
         with pytest.raises(InputError, match=f"n = {len(series)} needs about"):
             run_test(series, LrdRule(d=0.0))
 
@@ -193,5 +193,6 @@ class TestRunTest:
 
     def test_one_directional_routes_to_permutation(self):
         series = Series.from_values(DBP)
-        with pytest.raises(AnalyticUnavailable):
-            run_test(series, LrdRule(d=0.6, direction="positive_only"))
+        for direction in ("positive_only", "negative_only"):
+            with pytest.raises(AnalyticUnavailable, match="permutation test"):
+                run_test(series, LrdRule(d=0.6, direction=direction))

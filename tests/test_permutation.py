@@ -17,7 +17,7 @@ from lrdkendall import (
 
 from lrdkendall.permutation import MAX_REPLICATES
 
-from test_core import DBP, over_pair_budget
+from test_core import DBP, over_budget
 
 
 class TestExhaustive:
@@ -124,7 +124,7 @@ class TestSampled:
             permutation_test(Series.from_values(DBP), method="guess")
 
     def test_over_memory_budget_rejected(self):
-        series = over_pair_budget()
+        series = over_budget()
         with pytest.raises(InputError, match=f"n = {len(series)} needs about"):
             permutation_test(series, replicates=10, method="sampled")
 

@@ -89,6 +89,9 @@ class TestErrorDensity:
         with pytest.raises(InputError):
             ErrorDensity.uniform(1.0, 1.0)
         with pytest.raises(InputError):
+            # finite ends whose width overflows used to give NaN moments
+            ErrorDensity.uniform(-1e308, 1e308)
+        with pytest.raises(InputError):
             ErrorDensity.tabulated([0.0, 1.0], [1.0, 1.0, 1.0])
         with pytest.raises(InputError):
             ErrorDensity.tabulated([0.0, 1.0, 0.5], [1.0, 1.0, 1.0])

@@ -17,6 +17,7 @@ from lrdkendall import (
     run_cell,
     run_grid,
 )
+from lrdkendall.seeds import MAX_REPLICATES
 from lrdkendall.simulation import THREADS_ENV
 
 REPO = Path(__file__).resolve().parents[1]
@@ -73,9 +74,22 @@ class TestScenario:
             {"replicates": np.bool_(True)},
             {"seed": "5"},
             {"theta": 10**400},
+            {"replicates": MAX_REPLICATES + 1},
         ]:
             with pytest.raises(InputError):
                 make_scenario(**change)
+
+    def test_overflowing_trend_rejected(self):
+        # n ** p = inf used to give NaN deltas that counted as ties, so a
+        # cell reported a rejection rate of 1.0 and garbage tie fractions
+        for change in [
+            {"theta": 1.0, "p": 400, "n": 10},
+            {"theta": 0.0, "p": 400, "n": 10},
+            {"theta": 1e300, "p": 2, "n": 10**5},
+        ]:
+            with pytest.raises(InputError, match="overflows"):
+                make_scenario(**change)
+        make_scenario(theta=1.0, p=300, n=10)  # 1e300 is still finite
 
     def test_numpy_scalars_normalized(self):
         scenario = make_scenario(
