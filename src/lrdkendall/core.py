@@ -6,10 +6,11 @@ their numerical values differ. This module defines the comparison rule,
 the trend score built from it, and the per-observation exceedance counts
 that drive every downstream variance formula.
 
-The package's only pairwise array code is two kernels over an (m, n)
-matrix of series: :func:`pair_counts` (score and scoring pairs, any
-direction) and :func:`exceedance_counts` (u/v, symmetric only).
-:func:`pair_score` is the scalar reference they are tested against.
+The package's only pairwise array code is one kernel over an (m, n)
+matrix of series, :func:`pair_counts`. It walks the pairs one time lag
+at a time, so it holds O(mn) memory, and returns the score, the scoring
+pairs and the u/v exceedance counts together. :func:`pair_score` is the
+scalar reference it is tested against.
 
 Conventions
 -----------
@@ -23,8 +24,8 @@ boundary modes differ in where a difference of exactly ``d`` lands:
 * ``boundary="lt"``: tied only when ``|xi - xj| < d``; a difference of
   exactly ``d`` counts. Under this mode at ``d = 0``, a pair of exactly
   equal values scores 0 but is counted as an exceedance from both sides
-  in :func:`exceedance_counts`. See that function's note before relying
-  on the counts of heavily duplicated data.
+  in the u/v counts of :func:`pair_counts`. See that function's note
+  before relying on the counts of heavily duplicated data.
 
 A zero difference is a tie under every rule, including the
 one-directional ones: the score carries a sign factor, and sign(0) = 0.
@@ -41,8 +42,8 @@ from .errors import AnalyticUnavailable, InputError, InsufficientData
 BOUNDARIES = ("leq", "lt")
 DIRECTIONS = ("symmetric", "positive_only", "negative_only")
 
-#: bytes one pairwise-kernel call may allocate, reached near n = 11 000
-#: for one series (n = 4000 needs 0.3 GB); beyond it the call raises
+#: cap on the (8 + 9m) n^2 work measure of one pairwise-kernel call,
+#: reached near n = 11 000 for one series; beyond it the call raises
 PAIR_BYTES_BUDGET = 2**31
 
 
@@ -171,8 +172,9 @@ def pair_score(xi: float, xj: float, rule: LrdRule) -> int:
 
 
 def _check_budget(rows: np.ndarray) -> None:
-    # (8 + 9m) n^2 bytes covers both kernels: pair_counts' index arrays, deltas
-    # and masks, and exceedance_counts' n x n diff and mask; one series fails from n = 11 240
+    # (8 + 9m) n^2 was the byte count of the n x n arrays the kernels used to hold;
+    # the lag kernel holds O(mn), so it now caps the pairwise work of one call
+    # (one series fails from n = 11 240; n = 11 239 takes about 0.4 s)
     m, n = rows.shape
     need = (8 + 9 * m) * n * n
     if need > PAIR_BYTES_BUDGET:
@@ -189,78 +191,75 @@ def _symmetric_only(rule: LrdRule, what: str) -> None:
                                   f"the permutation test for direction={rule.direction!r}")
 
 
-def pair_counts(rows: np.ndarray, rule: LrdRule) -> tuple[np.ndarray, np.ndarray]:
-    """Trend score and scoring-pair count of each row of an (m, n) matrix.
+def pair_counts(rows: np.ndarray, rule: LrdRule):
+    """Score, scoring pairs and exceedance counts of each row of an (m, n) matrix.
 
     Each row is one series in time order. Over its n(n-1)/2 pairs i < j,
     ``up`` counts the pairs that :func:`pair_score` scores +1 and ``down``
     those it scores -1, so ``s = up - down`` and ``scoring = up + down``.
     Works under every direction; a zero difference never scores.
 
+    ``u[k, i]`` counts the observations of row k that value i relevantly
+    exceeds; ``v[k, i]`` counts those it relevantly falls below. Every
+    relevantly different pair lands once in some u entry and once in
+    some v entry, so the row totals match. The variance formulas built
+    on these counts hold for the symmetric rule only; under the others
+    u and v are computed but mean nothing.
+
+    Note:
+        Under boundary "lt" at ``d = 0``, a pair of exactly equal values
+        satisfies "exceeds by at least 0" from both sides and therefore
+        contributes to u and v twice (once per side), though it never
+        scores. That inflates the totals relative to the exact-tie
+        bookkeeping of the classical test, and it is intentional: it
+        matches how published regional benchmark values were computed.
+        The default "leq" boundary has no such quirk, and an observation
+        is never compared with itself.
+
     Args:
         rows: Matrix of shape (m, n), one series per row.
         rule: Comparison policy.
 
     Returns:
-        Pair of integer arrays of length m: (s, scoring).
+        (s, scoring, u, v): two integer arrays of length m, then two of
+        shape (m, n).
 
     Examples:
         >>> dbp = [90.9, 95.2, 98.6, 95.8, 100.7, 94.9, 92.8, 101.5, 99.0, 98.7]
-        >>> s, scoring = pair_counts(np.array([dbp]), LrdRule(d=0.6))
-        >>> int(s[0]), int(scoring[0])
-        (14, 40)
+        >>> s, scoring, u, v = pair_counts(np.array([dbp]), LrdRule(d=0.6))
+        >>> int(s[0]), int(scoring[0]), int(u[0].sum())
+        (14, 40, 40)
     """
     _check_budget(rows)
-    i, j = np.triu_indices(rows.shape[1], k=1)
-    deltas = rows[:, j]
-    deltas -= rows[:, i]  # later minus earlier; in place, the largest array here
+    cols = np.ascontiguousarray(rows.T)
+    # rise/fall count the pairs where a value is the later one and went up/down;
+    # sink/lift those where it is the earlier one and the later went up/down.
+    # Each count is below n, and int32 adds are faster than int64 ones
+    rise, fall, sink, lift = (np.zeros(cols.shape, dtype=np.int32) for _ in range(4))
+    equal = np.zeros(cols.shape[1], dtype=np.int64)
     # a one-directional rule counts every move in its unthresholded direction
     d_up = 0.0 if rule.direction == "negative_only" else rule.d
     d_down = 0.0 if rule.direction == "positive_only" else rule.d
-    # a zero difference never scores, so "lt" at d = 0 compares like "leq"
     lt = rule.boundary == "lt"
-    up = deltas >= d_up if lt and d_up > 0 else deltas > d_up
-    down = deltas <= -d_down if lt and d_down > 0 else deltas < -d_down
-    n_up = np.count_nonzero(up, axis=1)
-    n_down = np.count_nonzero(down, axis=1)
-    return n_up - n_down, n_up + n_down
-
-
-def exceedance_counts(rows: np.ndarray, rule: LrdRule) -> tuple[np.ndarray, np.ndarray]:
-    """Per-observation exceedance counts (u, v) of each row of an (m, n) matrix.
-
-    ``u[k, i]`` counts the observations of row k that value i relevantly
-    exceeds; ``v[k, i]`` counts those it relevantly falls below. Every
-    relevantly different pair lands once in some u entry and once in
-    some v entry, so the row totals match.
-
-    Only defined for the symmetric rule: the variance formulas built on
-    these counts have no one-directional counterpart, so those rules
-    must use the permutation test instead.
-
-    Note:
-        Under boundary "lt" at ``d = 0``, a pair of exactly equal values
-        satisfies "exceeds by at least 0" from both sides and therefore
-        contributes to u and v twice (once per side). That inflates the
-        totals relative to the exact-tie bookkeeping of the classical
-        test, and it is intentional: it matches how published regional
-        benchmark values were computed. The default "leq" boundary has
-        no such quirk, and an observation is never compared with itself.
-
-    Args:
-        rows: Matrix of shape (m, n), one series per row.
-        rule: Comparison policy (symmetric only).
-
-    Returns:
-        Pair of integer arrays of shape (m, n).
-    """
-    _symmetric_only(rule, "the analytic variance (u/v counts)")
-    _check_budget(rows)
-    diff = rows[:, :, None] - rows[:, None, :]
-    hit = _exceeds(diff, rule.d, rule.boundary)
-    diagonal = np.arange(rows.shape[1])
-    hit[:, diagonal, diagonal] = False
-    return hit.sum(axis=2, dtype=np.int64), hit.sum(axis=1, dtype=np.int64)
+    with np.errstate(over="ignore"):  # an infinite difference exceeds every d
+        for lag in range(1, len(cols)):
+            delta = cols[lag:] - cols[:-lag]  # pairs (t, t + lag), later minus earlier
+            up = delta >= d_up if lt and d_up > 0 else delta > d_up
+            down = delta <= -d_down if lt and d_down > 0 else delta < -d_down
+            if lt and rule.d == 0:  # equal values exceed each other but never score
+                tie = delta == 0
+                up |= tie
+                down |= tie
+                equal += np.count_nonzero(tie, axis=0)
+            rise[lag:] += up
+            fall[lag:] += down
+            sink[:-lag] += up
+            lift[:-lag] += down
+    n_up = rise.sum(axis=0) - equal
+    n_down = fall.sum(axis=0) - equal
+    u = np.add(rise, lift, dtype=np.int64)
+    v = np.add(fall, sink, dtype=np.int64)
+    return n_up - n_down, n_up + n_down, u.T, v.T
 
 
 def s_extended(series: Series, rule: LrdRule) -> int:
@@ -276,14 +275,15 @@ def s_extended(series: Series, rule: LrdRule) -> int:
     Returns:
         Integer in [-n(n-1)/2, n(n-1)/2].
     """
-    s, _ = pair_counts(series.values[None, :], rule)
-    return int(s[0])
+    return int(pair_counts(series.values[None, :], rule)[0][0])
 
 
 def uv_counts(series: Series, rule: LrdRule) -> tuple[np.ndarray, np.ndarray]:
     """Per-observation exceedance counts (u, v) of one series: the m = 1
-    case of :func:`exceedance_counts`, two integer arrays of length n."""
-    u, v = exceedance_counts(series.values[None, :], rule)
+    case of :func:`pair_counts`, two integer arrays of length n.
+    Symmetric rules only; others raise AnalyticUnavailable."""
+    _symmetric_only(rule, "the analytic variance (u/v counts)")
+    _, _, u, v = pair_counts(series.values[None, :], rule)
     return u[0], v[0]
 
 
@@ -294,7 +294,7 @@ def tie_proportion(series: Series, rule: LrdRule) -> float:
     default boundary this equals (maxS - sum(u)) / maxS with
     maxS = n(n-1)/2; the count-based form is used directly because the
     u-based expression can leave [0, 1] in the boundary="lt", d=0,
-    duplicated-values corner described in :func:`exceedance_counts`.
+    duplicated-values corner described in :func:`pair_counts`.
 
     Args:
         series: Observations in time order.
@@ -304,7 +304,7 @@ def tie_proportion(series: Series, rule: LrdRule) -> float:
         0.0 when every pair is relevantly different, 1.0 when all tied.
     """
     _symmetric_only(rule, "tie_proportion")
-    _, scoring = pair_counts(series.values[None, :], rule)
+    scoring = pair_counts(series.values[None, :], rule)[1]
     return float(tie_fraction(scoring[0], len(series)))
 
 

@@ -14,7 +14,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .core import LrdRule, Series, exceedance_counts, pair_counts, tie_fraction
+from .core import LrdRule, Series, _symmetric_only, pair_counts, tie_fraction
 from .errors import InputError
 from .variance import var_classical, var_extended_hat, tie_groups
 
@@ -113,8 +113,9 @@ def score_rows(rows: np.ndarray, rule: LrdRule, continuity: bool = True):
     Score, number of pairs scoring +/-1, plug-in variance and z, one entry
     per row (series). Symmetric rules only; others raise AnalyticUnavailable.
     """
-    variance = var_extended_hat(*exceedance_counts(rows, rule))
-    s, scoring = pair_counts(rows, rule)
+    _symmetric_only(rule, "the analytic variance (u/v counts)")
+    s, scoring, u, v = pair_counts(rows, rule)
+    variance = var_extended_hat(u, v)
     return s, scoring, variance, z_score(s, variance, continuity=continuity)
 
 

@@ -27,7 +27,7 @@ from .regional import LrdPolicy, RegionalDataset
 from .seeds import MAX_REPLICATES, check_replicates, chunks  # the limit stays importable here
 
 EXHAUSTIVE_MAX_N = 8          # 8! = 40320 orderings; 9! starts to drag
-_CHUNK_ELEMENTS = 4_000_000   # target pairwise-matrix size per chunk
+_CHUNK_ELEMENTS = 4_000_000   # sets the rows per chunk, part of the seeding contract
 
 
 @dataclass(frozen=True)
@@ -145,7 +145,7 @@ def permutation_test(
 
     if method == "exhaustive":
         rows = np.array(list(itertools.permutations(series.values)))
-        null_s, _ = pair_counts(rows, rule)
+        null_s = pair_counts(rows, rule)[0]
     else:
         null_s = _sampled_null([(("perm",), series.values, rule)], replicates, seed)
     return _result(null_s, s_obs, sidedness, method, seed)

@@ -134,7 +134,8 @@ class ErrorDensity:
     def pdf(self, x: float) -> float:
         if self.kind == "normal":
             s = self.sigma
-            return math.exp(-0.5 * (x / s) ** 2) / (s * math.sqrt(2 * math.pi))
+            r = x / s
+            return math.exp(-0.5 * (r * r)) / (s * math.sqrt(2 * math.pi))
         if self.kind == "uniform":
             return 1.0 / (self.upper - self.lower) if self.lower <= x <= self.upper else 0.0
         return float(np.interp(x, self.grid_x, self.grid_f, left=0.0, right=0.0))
@@ -435,22 +436,25 @@ def power_gain_condition(density: ErrorDensity) -> GainCondition:
             "uniform edges have no square-integrable derivative"
         )
     if density.kind == "normal":
+        # the sigma = 1 masses divided by sigma, sigma^2 and sigma^3: beyond the
+        # float range a mass is 0 or inf, and the verdict is the sigma = 1 one
         s = density.sigma
-        squared = 1.0 / (2.0 * s * _SQRT_PI)
-        cubed = 1.0 / (2.0 * math.pi * math.sqrt(3.0) * s * s)
-        deriv = 1.0 / (4.0 * s**3 * _SQRT_PI)
+        squared = 1.0 / (2.0 * _SQRT_PI)
+        cubed = 1.0 / (2.0 * math.pi * math.sqrt(3.0))
+        deriv = 1.0 / (4.0 * _SQRT_PI)
+        holds = squared * cubed > deriv / 6.0
+        squared, cubed, deriv = squared / s, cubed / s / s, deriv / s / s / s
     else:
         x, f = density.grid_x, density.grid_f
         squared = float(np.trapezoid(f**2, x))
         cubed = float(np.trapezoid(f**3, x))
         df = np.gradient(f, x)
         deriv = float(np.trapezoid(df**2, x))
-    lhs = squared * cubed
-    rhs = deriv / 6.0
+        holds = squared * cubed > deriv / 6.0
     return GainCondition(
-        holds=lhs > rhs,
-        lhs=lhs,
-        rhs=rhs,
+        holds=holds,
+        lhs=squared * cubed,
+        rhs=deriv / 6.0,
         squared_mass=squared,
         cubed_mass=cubed,
         derivative_mass=deriv,

@@ -42,7 +42,7 @@ from .power import ErrorDensity
 from .seeds import check_replicates, chunks
 
 THREADS_ENV = "LRDKENDALL_THREADS"
-_CHUNK_TARGET = 8_000_000  # upper bound on per-chunk diff-tensor elements
+_CHUNK_TARGET = 8_000_000  # sets the rows per chunk, part of the seeding contract
 
 
 def density_for(distribution: str, error_sd: float) -> ErrorDensity:
@@ -96,7 +96,9 @@ class Scenario:
     integral floats such as 2.0, but not bools; they are stored as int.
     theta, error_sd, alpha_level and each d_ratios entry must be finite
     real numbers, and are stored as float. n ** p and theta * n ** p must
-    be finite. Anything else, or a value out of range, raises InputError.
+    be finite, and so must 2 * (|theta| * n ** p + 64 * error_sd), so that
+    no draw or difference of draws overflows. Anything else, or a value
+    out of range, raises InputError.
     """
 
     theta: float
@@ -135,6 +137,10 @@ class Scenario:
         if not 0.0 < self.alpha_level < 1.0:
             raise InputError(f"alpha_level must be in (0, 1), got {self.alpha_level!r}")
         density_for(self.distribution, self.error_sd)  # rejects a bad kind or error_sd
+        # 64 sd is beyond any normal draw (the uniform reaches sqrt(3) sd), so
+        # every value and every difference of two values stays finite
+        if not math.isfinite(2 * (peak + 64 * self.error_sd)):
+            raise InputError(f"error_sd {self.error_sd!r} lets the draws overflow")
 
     @property
     def density(self) -> ErrorDensity:

@@ -294,6 +294,15 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: trend theta * n ** p") and err.count("\n") == 1
 
+    def test_overflowing_noise_exits_2(self, capsys, tmp_path):
+        with open("configs/smoke_grid.json", encoding="utf-8") as fh:
+            config = json.load(fh)
+        path = tmp_path / "noise.json"
+        path.write_text(json.dumps(dict(config, sd_bases=[1e307])))
+        assert main(["simulate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: error_sd") and err.count("\n") == 1
+
     def test_replicate_limit_exits_2_before_any_cell(self, capsys, monkeypatch):
         def no_run(scenarios):
             raise AssertionError("a cell ran")

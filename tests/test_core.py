@@ -1,5 +1,7 @@
 """Pair scoring, the extended statistic, and exceedance counts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from lrdkendall import (
     tie_proportion,
     uv_counts,
 )
-from lrdkendall.core import _check_budget
+from lrdkendall.core import _check_budget, pair_counts
 
 # Ten blood-pressure readings reused across the suite.  Brute-force pair
 # enumeration (the loop in oracle_s below) gives S=15 at d=0 and, with
@@ -144,6 +146,27 @@ class TestSExtended:
         assert s_extended(Series.from_values(shifted), rule) == base
         doubled = [2.0 * x for x in values]
         assert s_extended(Series.from_values(doubled), LrdRule(d=2.0)) == base
+
+
+class TestPairCounts:
+    def test_extreme_values_score_without_warnings(self):
+        # differences of +/-1e308 overflow to inf, which exceeds every finite d;
+        # the subtraction used to leak two numpy overflow RuntimeWarnings
+        values = [1e308, -1e308, 1e308, -1e308, 5.0]
+        rule = LrdRule(d=0.5)
+        want = sum(pair_score(values[i], values[j], rule)
+                   for i in range(len(values)) for j in range(i + 1, len(values)))
+        assert run_test(Series.from_values(values), rule).s_extended == want == -2
+
+    def test_single_series_holds_no_n_squared_array(self):
+        rows = np.random.default_rng(0).normal(size=(1, 3000))
+        tracemalloc.start()
+        try:
+            pair_counts(rows, LrdRule(d=0.5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # an n x n float array alone would be 72 MB
 
 
 class TestUvCounts:

@@ -286,6 +286,13 @@ class TestGainCondition:
         assert two.lhs == pytest.approx(one.lhs / 8, rel=1e-9)
         assert two.rhs == pytest.approx(one.rhs / 8, rel=1e-9)
 
+    def test_extreme_normal_scales(self):
+        # these used to end in OverflowError (s**3) and ZeroDivisionError
+        one = power_gain_condition(ErrorDensity.normal(1.0))
+        for sigma in (1e200, 1e-200):
+            assert power_gain_condition(ErrorDensity.normal(sigma)).holds == one.holds
+        assert ErrorDensity.normal(1.0).pdf(1e200) == 0.0
+
     def test_uniform_has_no_derivative(self):
         with pytest.raises(AnalyticUnavailable):
             power_gain_condition(ErrorDensity.uniform(0.0, 1.0))

@@ -32,7 +32,7 @@ from lrdkendall import (
     var_extended_hat,
     z_score,
 )
-from lrdkendall.core import DIRECTIONS, exceedance_counts, pair_counts
+from lrdkendall.core import DIRECTIONS, pair_counts
 from lrdkendall.inference import score_rows, tie_fraction
 
 int_values = st.lists(
@@ -80,7 +80,7 @@ def test_time_reversal_negates_score(values, d, boundary):
 @given(rows=matrices, d=thresholds, boundary=boundaries, direction=st.sampled_from(DIRECTIONS))
 def test_pair_counts_match_scalar_pair_score(rows, d, boundary, direction):
     rule = LrdRule(d=d, boundary=boundary, direction=direction)
-    s, scoring = pair_counts(rows, rule)
+    s, scoring, _, _ = pair_counts(rows, rule)
     n = rows.shape[1]
     for k, row in enumerate(rows):
         scores = [pair_score(row[i], row[j], rule) for i in range(n) for j in range(i + 1, n)]
@@ -109,7 +109,7 @@ def test_score_rows_match_run_test_row_by_row(rows, d, boundary, continuity):
 @given(rows=matrices, d=thresholds, boundary=boundaries)
 def test_exceedance_counts_match_double_loop(rows, d, boundary):
     rule = LrdRule(d=d, boundary=boundary)
-    u, v = exceedance_counts(rows, rule)
+    _, _, u, v = pair_counts(rows, rule)
     exceeds = (lambda diff: diff > d) if boundary == "leq" else (lambda diff: diff >= d)
     n = rows.shape[1]
     for k, row in enumerate(rows):

@@ -49,6 +49,11 @@ class TestPowerCurveDemo:
         assert sum("<- max drift" in row for row in rows) == 1
         assert lines[-1].startswith("gain condition holds")
 
+    def test_extreme_normal_scale(self, capsys):
+        script = load_script("power_curve_demo")
+        assert script.main(["--density", "normal:1e200", "--step", "0.5"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].startswith("gain condition holds")
+
     def test_uniform_reports_missing_gain_condition(self, capsys):
         script = load_script("power_curve_demo")
         assert script.main(["--density", "uniform:-1:1", "--stop", "1", "--step", "0.5"]) == 0

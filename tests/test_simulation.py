@@ -91,6 +91,14 @@ class TestScenario:
                 make_scenario(**change)
         make_scenario(theta=1.0, p=300, n=10)  # 1e300 is still finite
 
+    def test_overflowing_noise_rejected(self):
+        # draws of +/-inf used to give NaN deltas that counted as ties, so a
+        # null cell reported a nonzero tie proportion with numpy warnings
+        for error_sd in (1e307, 1e308):
+            with pytest.raises(InputError, match="overflow"):
+                make_scenario(theta=0.0, error_sd=error_sd)
+        make_scenario(theta=0.0, error_sd=1e306)  # 64 sd of it is still finite
+
     def test_numpy_scalars_normalized(self):
         scenario = make_scenario(
             n=np.int64(20), p=np.int32(2), replicates=np.uint16(50), seed=np.int64(7),

@@ -19,7 +19,7 @@ from lrdkendall import (
     var_theoretical,
 )
 
-from lrdkendall.core import exceedance_counts
+from lrdkendall.core import pair_counts
 
 from test_core import DBP
 
@@ -80,7 +80,7 @@ class TestVarExtendedHat:
     def test_rows_match_scalar_calls(self):
         values = np.array([DBP, DBP[::-1], [7.0] * len(DBP), np.arange(len(DBP), dtype=float)])
         for rule in (LrdRule(d=0.0), LrdRule(d=0.6), LrdRule(d=0.0, boundary="lt")):
-            u, v = exceedance_counts(values, rule)
+            _, _, u, v = pair_counts(values, rule)
             batch = var_extended_hat(u, v)
             assert isinstance(batch, np.ndarray) and batch.shape == (len(values),)
             for k in range(len(values)):
