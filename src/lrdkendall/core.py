@@ -232,9 +232,8 @@ def pair_counts(rows: np.ndarray, rule: LrdRule):
     """
     _check_budget(rows)
     cols = np.ascontiguousarray(rows.T)
-    # rise/fall count the pairs where a value is the later one and went up/down;
-    # sink/lift those where it is the earlier one and the later went up/down.
-    # Each count is below n, and int32 adds are faster than int64 ones
+    # rise/fall count the pairs where a value is the later one and went up/down,
+    # sink/lift those where it is the earlier one; every count is below n, so int32
     rise, fall, sink, lift = (np.zeros(cols.shape, dtype=np.int32) for _ in range(4))
     equal = np.zeros(cols.shape[1], dtype=np.int64)
     # a one-directional rule counts every move in its unthresholded direction
@@ -257,8 +256,7 @@ def pair_counts(rows: np.ndarray, rule: LrdRule):
             lift[:-lag] += down
     n_up = rise.sum(axis=0) - equal
     n_down = fall.sum(axis=0) - equal
-    u = np.add(rise, lift, dtype=np.int64)
-    v = np.add(fall, sink, dtype=np.int64)
+    u, v = np.add(rise, lift, dtype=np.int64), np.add(fall, sink, dtype=np.int64)
     return n_up - n_down, n_up + n_down, u.T, v.T
 
 
