@@ -7,9 +7,10 @@ the trend score built from it, and the per-observation exceedance counts
 that drive every downstream variance formula.
 
 The package's only pairwise array code is one kernel over an (m, n)
-matrix of series, :func:`pair_counts`. It walks the pairs one time lag
-at a time, so it holds O(mn) memory, and returns the score, the scoring
-pairs and the u/v exceedance counts together. :func:`pair_score` is the
+matrix of series, :func:`pair_counts`. It walks the pairs a block of
+time lags at a time, so beyond one block of about 2^15 pair differences
+it holds O(mn) memory, and returns the score, the scoring pairs and the
+u/v exceedance counts together. :func:`pair_score` is the
 scalar reference it is tested against.
 
 Conventions
@@ -36,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import AnalyticUnavailable, InputError, InsufficientData
 
@@ -45,6 +47,10 @@ DIRECTIONS = ("symmetric", "positive_only", "negative_only")
 #: cap on the (8 + 9m) n^2 work measure of one pairwise-kernel call,
 #: reached near n = 11 000 for one series; beyond it the call raises
 PAIR_BYTES_BUDGET = 2**31
+#: pair differences pair_counts forms at once: each step takes as many lags as
+#: keep it near this size (8 at n = 4000, one for a simulation chunk), so a long
+#: series costs few numpy calls per lag and the step's arrays stay cache-sized
+_BLOCK_ELEMENTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -173,8 +179,8 @@ def pair_score(xi: float, xj: float, rule: LrdRule) -> int:
 
 def _check_budget(rows: np.ndarray) -> None:
     # (8 + 9m) n^2 was the byte count of the n x n arrays the kernels used to hold;
-    # the lag kernel holds O(mn), so it now caps the pairwise work of one call
-    # (one series fails from n = 11 240; n = 11 239 takes about 0.4 s)
+    # the lag-block kernel holds O(mn), so it now caps the pairwise work of one call
+    # (one series fails from n = 11 240; n = 11 239 takes about 0.25 s)
     m, n = rows.shape
     need = (8 + 9 * m) * n * n
     if need > PAIR_BYTES_BUDGET:
@@ -189,6 +195,13 @@ def _symmetric_only(rule: LrdRule, what: str) -> None:
     if rule.direction != "symmetric":
         raise AnalyticUnavailable(f"{what} is defined for the symmetric rule only; use "
                                   f"the permutation test for direction={rule.direction!r}")
+
+
+def _skewed(counter: np.ndarray, lag: int, t: int) -> np.ndarray:
+    """The (block, t, m) view w of a (block, *, m) counter with w[b, i] = counter[b, lag + i + b]."""
+    s0, s1, s2 = counter.strides
+    return np.ndarray((counter.shape[0], t, counter.shape[2]), counter.dtype, counter,
+                      lag * s1, (s0 + s1, s1, s2))
 
 
 def pair_counts(rows: np.ndarray, rule: LrdRule):
@@ -231,31 +244,43 @@ def pair_counts(rows: np.ndarray, rule: LrdRule):
         (14, 40, 40)
     """
     _check_budget(rows)
-    cols = np.ascontiguousarray(rows.T)
+    m, n = rows.shape
+    block = max(1, min(n - 1, _BLOCK_ELEMENTS // max(1, n * m)))
+    # the rows as (n, m) columns, then NaN rows that no comparison counts
+    pad = np.full((n + block, m), np.nan)
+    pad[:n] = rows.T
+    cols = pad[:n]
+    later = sliding_window_view(pad, block, axis=0)  # later[t, k, b] = pad[t + b, k]
     # rise/fall count the pairs where a value is the later one and went up/down,
-    # sink/lift those where it is the earlier one; every count is below n, so int32
-    rise, fall, sink, lift = (np.zeros(cols.shape, dtype=np.int32) for _ in range(4))
-    equal = np.zeros(cols.shape[1], dtype=np.int64)
+    # sink/lift those where it is the earlier one, one row per lag in the block;
+    # a cell gains at most 1 per block and _check_budget keeps n below 2**15
+    rise, fall, sink, lift = (np.zeros((block, n + block, m), dtype=np.int16) for _ in range(4))
+    equal = np.zeros(m, dtype=np.int64)
     # a one-directional rule counts every move in its unthresholded direction
     d_up = 0.0 if rule.direction == "negative_only" else rule.d
     d_down = 0.0 if rule.direction == "positive_only" else rule.d
     lt = rule.boundary == "lt"
     with np.errstate(over="ignore"):  # an infinite difference exceeds every d
-        for lag in range(1, len(cols)):
-            delta = cols[lag:] - cols[:-lag]  # pairs (t, t + lag), later minus earlier
+        for lag in range(1, n, block):
+            t = n - lag
+            # delta[b, i] pairs (i, i + lag + b), later minus earlier
+            delta = later[lag:lag + t].transpose(2, 0, 1) - cols[:t]
             up = delta >= d_up if lt and d_up > 0 else delta > d_up
             down = delta <= -d_down if lt and d_down > 0 else delta < -d_down
             if lt and rule.d == 0:  # equal values exceed each other but never score
                 tie = delta == 0
                 up |= tie
                 down |= tie
-                equal += np.count_nonzero(tie, axis=0)
-            rise[lag:] += up
-            fall[lag:] += down
-            sink[:-lag] += up
-            lift[:-lag] += down
-    n_up = rise.sum(axis=0) - equal
-    n_down = fall.sum(axis=0) - equal
+                equal += np.count_nonzero(tie, axis=(0, 1))
+            for counter, hits in ((rise, up), (fall, down)):
+                at_later = _skewed(counter, lag, t)  # [b, i]: value i + lag + b
+                at_later += hits
+            sink[:, :t] += up
+            lift[:, :t] += down
+    # every total, and u and v, is at most n - 1
+    rise, fall, sink, lift = (c.sum(axis=0, dtype=np.int16)[:n] for c in (rise, fall, sink, lift))
+    n_up = rise.sum(axis=0, dtype=np.int64) - equal
+    n_down = fall.sum(axis=0, dtype=np.int64) - equal
     u, v = np.add(rise, lift, dtype=np.int64), np.add(fall, sink, dtype=np.int64)
     return n_up - n_down, n_up + n_down, u.T, v.T
 

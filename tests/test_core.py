@@ -158,6 +158,22 @@ class TestPairCounts:
                    for i in range(len(values)) for j in range(i + 1, len(values)))
         assert run_test(Series.from_values(values), rule).s_extended == want == -2
 
+    def test_several_lag_blocks_match_brute_force(self):
+        # two rows of n = 400 take 40 lags per block, so the pairs span ten blocks;
+        # half-unit values put many differences exactly on d
+        rows = np.round(np.random.default_rng(1).normal(size=(2, 400)) * 3) / 2
+        for d in (0.0, 0.5, 1.0):
+            for boundary in ("leq", "lt"):
+                s, scoring, u, v = pair_counts(rows, LrdRule(d=d, boundary=boundary))
+                for k, x in enumerate(rows):
+                    diff = x[None, :] - x[:, None]  # diff[i, j] = x[j] - x[i]
+                    hit = (diff > d if boundary == "leq" else diff >= d) & ~np.eye(400, dtype=bool)
+                    up = np.triu(hit & (diff > 0), 1).sum()
+                    down = np.triu(hit.T & (diff < 0), 1).sum()
+                    assert (s[k], scoring[k]) == (up - down, up + down)
+                    assert np.array_equal(u[k], hit.sum(axis=0))
+                    assert np.array_equal(v[k], hit.sum(axis=1))
+
     def test_single_series_holds_no_n_squared_array(self):
         rows = np.random.default_rng(0).normal(size=(1, 3000))
         tracemalloc.start()
