@@ -7,10 +7,9 @@ the trend score built from it, and the per-observation exceedance counts
 that drive every downstream variance formula.
 
 The package's only pairwise array code is one kernel over an (m, n)
-matrix of series, :func:`pair_counts`. It walks the pairs a block of
-time lags at a time, so beyond one block of about 2^15 pair differences
-it holds O(mn) memory, and returns the score, the scoring pairs and the
-u/v exceedance counts together. :func:`pair_score` is the
+matrix of series, :func:`pair_counts`. It walks the pairs a block of time
+lags at a time, so it holds O(mn) memory, and returns the score, the scoring
+pairs and the u/v exceedance counts together. :func:`pair_score` is the
 scalar reference it is tested against.
 
 Conventions
@@ -47,10 +46,6 @@ DIRECTIONS = ("symmetric", "positive_only", "negative_only")
 #: cap on the (8 + 9m) n^2 work measure of one pairwise-kernel call,
 #: reached near n = 11 000 for one series; beyond it the call raises
 PAIR_BYTES_BUDGET = 2**31
-#: pair differences pair_counts forms at once: each step takes as many lags as
-#: keep it near this size (8 at n = 4000, one for a simulation chunk), so a long
-#: series costs few numpy calls per lag and the step's arrays stay cache-sized
-_BLOCK_ELEMENTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -197,13 +192,6 @@ def _symmetric_only(rule: LrdRule, what: str) -> None:
                                   f"the permutation test for direction={rule.direction!r}")
 
 
-def _skewed(counter: np.ndarray, lag: int, t: int) -> np.ndarray:
-    """The (block, t, m) view w of a (block, *, m) counter with w[b, i] = counter[b, lag + i + b]."""
-    s0, s1, s2 = counter.strides
-    return np.ndarray((counter.shape[0], t, counter.shape[2]), counter.dtype, counter,
-                      lag * s1, (s0 + s1, s1, s2))
-
-
 def pair_counts(rows: np.ndarray, rule: LrdRule):
     """Score, scoring pairs and exceedance counts of each row of an (m, n) matrix.
 
@@ -245,16 +233,18 @@ def pair_counts(rows: np.ndarray, rule: LrdRule):
     """
     _check_budget(rows)
     m, n = rows.shape
-    block = max(1, min(n - 1, _BLOCK_ELEMENTS // max(1, n * m)))
-    # the rows as (n, m) columns, then NaN rows that no comparison counts
+    # lags per step: about 2**15 differences, so a long series costs few numpy
+    # calls per lag (8 lags at n = 4000) while a step stays cache-sized
+    block = max(1, min(n - 1, 2**15 // max(1, n * m)))
+    # the rows as columns, then NaN rows that no comparison counts
     pad = np.full((n + block, m), np.nan)
     pad[:n] = rows.T
-    cols = pad[:n]
-    later = sliding_window_view(pad, block, axis=0)  # later[t, k, b] = pad[t + b, k]
+    later = sliding_window_view(pad, block, axis=0)  # later[i, k, b] = pad[i + b, k]
     # rise/fall count the pairs where a value is the later one and went up/down,
-    # sink/lift those where it is the earlier one, one row per lag in the block;
+    # sink/lift those where it is the earlier one, one row per lag of a block;
     # a cell gains at most 1 per block and _check_budget keeps n below 2**15
-    rise, fall, sink, lift = (np.zeros((block, n + block, m), dtype=np.int16) for _ in range(4))
+    rise, fall, sink, lift = counts = np.zeros((4, block, n + block, m), dtype=np.int16)
+    s0, s1, s2 = rise.strides
     equal = np.zeros(m, dtype=np.int64)
     # a one-directional rule counts every move in its unthresholded direction
     d_up = 0.0 if rule.direction == "negative_only" else rule.d
@@ -263,8 +253,8 @@ def pair_counts(rows: np.ndarray, rule: LrdRule):
     with np.errstate(over="ignore"):  # an infinite difference exceeds every d
         for lag in range(1, n, block):
             t = n - lag
-            # delta[b, i] pairs (i, i + lag + b), later minus earlier
-            delta = later[lag:lag + t].transpose(2, 0, 1) - cols[:t]
+            # delta[b, i] is pair (i, i + lag + b), later minus earlier
+            delta = later[lag:n].transpose(2, 0, 1) - pad[:t]
             up = delta >= d_up if lt and d_up > 0 else delta > d_up
             down = delta <= -d_down if lt and d_down > 0 else delta < -d_down
             if lt and rule.d == 0:  # equal values exceed each other but never score
@@ -272,13 +262,12 @@ def pair_counts(rows: np.ndarray, rule: LrdRule):
                 up |= tie
                 down |= tie
                 equal += np.count_nonzero(tie, axis=(0, 1))
-            for counter, hits in ((rise, up), (fall, down)):
-                at_later = _skewed(counter, lag, t)  # [b, i]: value i + lag + b
+            for counter, hits in ((rise, up), (fall, down)):  # [b, i] is counter[b, lag + i + b]
+                at_later = np.ndarray((block, t, m), np.int16, counter, lag * s1, (s0 + s1, s1, s2))
                 at_later += hits
             sink[:, :t] += up
             lift[:, :t] += down
-    # every total, and u and v, is at most n - 1
-    rise, fall, sink, lift = (c.sum(axis=0, dtype=np.int16)[:n] for c in (rise, fall, sink, lift))
+    rise, fall, sink, lift = (c.sum(axis=0, dtype=np.int16)[:n] for c in counts)  # all below n
     n_up = rise.sum(axis=0, dtype=np.int64) - equal
     n_down = fall.sum(axis=0, dtype=np.int64) - equal
     u, v = np.add(rise, lift, dtype=np.int64), np.add(fall, sink, dtype=np.int64)
