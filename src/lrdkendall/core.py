@@ -9,8 +9,9 @@ that drive every downstream variance formula.
 The package's only pairwise array code is one kernel over an (m, n)
 matrix of series, :func:`pair_counts`. It walks the pairs a block of time
 lags at a time, so it holds O(mn) memory, and returns the score, the scoring
-pairs and the u/v exceedance counts together. :func:`pair_score` is the
-scalar reference it is tested against.
+pairs and the u/v exceedance counts together. Series longer than
+:data:`MAX_SERIES_N` are refused. :func:`pair_score` is the scalar reference
+it is tested against.
 
 Conventions
 -----------
@@ -43,9 +44,9 @@ from .errors import AnalyticUnavailable, InputError, InsufficientData
 BOUNDARIES = ("leq", "lt")
 DIRECTIONS = ("symmetric", "positive_only", "negative_only")
 
-#: cap on the (8 + 9m) n^2 work measure of one pairwise-kernel call,
-#: reached near n = 11 000 for one series; beyond it the call raises
-PAIR_BYTES_BUDGET = 2**31
+#: longest series a pairwise-kernel call accepts: it bounds one call to about
+#: 0.25 s, and it keeps n below 2**15, which the int16 counters of pair_counts need
+MAX_SERIES_N = 11_239
 
 
 @dataclass(frozen=True)
@@ -88,12 +89,10 @@ class Series:
     Args:
         times: Strictly increasing timestamps (any real or integer scale).
         values: Finite observed values, same length as ``times``.
-        label: Optional identifier; neither the tests nor the reports read it.
     """
 
     times: np.ndarray
     values: np.ndarray
-    label: str | None = None
 
     def __post_init__(self) -> None:
         times = np.asarray(self.times, dtype=float)
@@ -118,10 +117,10 @@ class Series:
         object.__setattr__(self, "values", values)
 
     @classmethod
-    def from_values(cls, values, label: str | None = None) -> "Series":
+    def from_values(cls, values) -> "Series":
         """Build a series on the implicit time grid 0, 1, 2, ..."""
         values = np.asarray(values, dtype=float)
-        return cls(times=np.arange(len(values), dtype=float), values=values, label=label)
+        return cls(times=np.arange(len(values), dtype=float), values=values)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -172,17 +171,10 @@ def pair_score(xi: float, xj: float, rule: LrdRule) -> int:
     return 1
 
 
-def _check_budget(rows: np.ndarray) -> None:
-    # (8 + 9m) n^2 was the byte count of the n x n arrays the kernels used to hold;
-    # the lag-block kernel holds O(mn), so it now caps the pairwise work of one call
-    # (one series fails from n = 11 240; n = 11 239 takes about 0.25 s)
-    m, n = rows.shape
-    need = (8 + 9 * m) * n * n
-    if need > PAIR_BYTES_BUDGET:
-        raise InputError(
-            f"{m} series of n = {n} needs about {need} "
-            f"bytes of pairwise arrays, over the budget of {PAIR_BYTES_BUDGET}"
-        )
+def _check_length(rows: np.ndarray) -> None:
+    n = rows.shape[1]
+    if n > MAX_SERIES_N:
+        raise InputError(f"a series of n = {n} is longer than the limit of {MAX_SERIES_N}")
 
 
 def _symmetric_only(rule: LrdRule, what: str) -> None:
@@ -218,7 +210,8 @@ def pair_counts(rows: np.ndarray, rule: LrdRule):
         is never compared with itself.
 
     Args:
-        rows: Matrix of shape (m, n), one series per row.
+        rows: Matrix of shape (m, n), one series per row, n at most
+            :data:`MAX_SERIES_N` (InputError beyond it).
         rule: Comparison policy.
 
     Returns:
@@ -231,7 +224,7 @@ def pair_counts(rows: np.ndarray, rule: LrdRule):
         >>> int(s[0]), int(scoring[0]), int(u[0].sum())
         (14, 40, 40)
     """
-    _check_budget(rows)
+    _check_length(rows)
     m, n = rows.shape
     # lags per step: about 2**15 differences, so a long series costs few numpy
     # calls per lag (8 lags at n = 4000) while a step stays cache-sized
@@ -242,7 +235,7 @@ def pair_counts(rows: np.ndarray, rule: LrdRule):
     later = sliding_window_view(pad, block, axis=0)  # later[i, k, b] = pad[i + b, k]
     # rise/fall count the pairs where a value is the later one and went up/down,
     # sink/lift those where it is the earlier one, one row per lag of a block;
-    # a cell gains at most 1 per block and _check_budget keeps n below 2**15
+    # a cell gains at most 1 per block and MAX_SERIES_N keeps n below 2**15
     rise, fall, sink, lift = counts = np.zeros((4, block, n + block, m), dtype=np.int16)
     s0, s1, s2 = rise.strides
     equal = np.zeros(m, dtype=np.int64)

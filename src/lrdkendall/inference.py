@@ -81,7 +81,12 @@ def critical_value(alpha_level: float) -> float:
 
     The |z| at which the two-sided p-value equals alpha_level, so a test
     of that size rejects when |z| >= critical_value(alpha_level).
+    The size must be below 1 and large enough that alpha_level / 2 is
+    not 0, else InputError.
     """
+    if not (0.0 < alpha_level / 2.0 and alpha_level < 1.0):
+        raise InputError(f"alpha_level must be in (0, 1), with alpha_level / 2 above 0, "
+                         f"got {alpha_level!r}")
     return -NormalDist().inv_cdf(alpha_level / 2.0)
 
 

@@ -24,7 +24,7 @@ from .core import LrdRule, Series, pair_counts, s_extended
 from .errors import InputError
 from .inference import SIDEDNESS
 from .regional import LrdPolicy, RegionalDataset
-from .seeds import MAX_REPLICATES, check_replicates, chunks  # the limit stays importable here
+from .seeds import check_replicates, chunks
 
 EXHAUSTIVE_MAX_N = 8          # 8! = 40320 orderings; 9! starts to drag
 _CHUNK_ELEMENTS = 4_000_000   # sets the rows per chunk, part of the seeding contract
@@ -117,7 +117,7 @@ def permutation_test(
         series: Observations in time order.
         rule: Comparison policy (any direction); default d = 0.
         replicates: Number of sampled permutations (ignored in
-            exhaustive mode); from 1 to MAX_REPLICATES.
+            exhaustive mode); from 1 to seeds.MAX_REPLICATES.
         seed: Base seed for the chunked draw streams.
         sidedness: "two_sided", "greater", or "less".
         method: "auto" enumerates all orderings for n <= 8 and samples

@@ -86,7 +86,7 @@ class RegionalDataset:
             if not np.all(np.isfinite(vals)):
                 excluded.append(lab)
                 continue
-            groups[lab] = Series(times=grid, values=vals, label=lab)
+            groups[lab] = Series(times=grid, values=vals)
 
         if not groups:
             raise NoUsableData(

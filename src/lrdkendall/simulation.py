@@ -134,8 +134,7 @@ class Scenario:
             peak = math.inf
         if not math.isfinite(peak):
             raise InputError(f"trend theta * n ** p overflows at n = {self.n}, p = {self.p}")
-        if not 0.0 < self.alpha_level < 1.0:
-            raise InputError(f"alpha_level must be in (0, 1), got {self.alpha_level!r}")
+        critical_value(self.alpha_level)  # rejects a size outside (0, 1)
         density_for(self.distribution, self.error_sd)  # rejects a bad kind or error_sd
         # 64 sd is beyond any normal draw (the uniform reaches sqrt(3) sd), so
         # every value and every difference of two values stays finite
@@ -191,7 +190,8 @@ def _simulate_chunk(rng, scenario: Scenario, m: int) -> np.ndarray:
     if scenario.distribution == "normal":
         noise = rng.normal(0.0, scenario.error_sd, size=(m, n))
     else:
-        noise = rng.uniform(*scenario.density.support(), size=(m, n))
+        density = scenario.density
+        noise = rng.uniform(density.lower, density.upper, size=(m, n))
     return signal + noise
 
 

@@ -11,7 +11,7 @@ import pytest
 import lrdkendall
 from lrdkendall.cli import main
 
-from test_core import over_budget
+from test_core import too_long
 
 FIXTURE = "src/lrdkendall/data/platelets_2001_2005.csv"
 
@@ -36,11 +36,11 @@ def run_cli(capsys, *argv):
 
 class TestTestCommand:
     def test_over_memory_budget_exits_2(self, capsys, tmp_path):
-        values = over_budget().values
+        values = too_long().values
         path = tmp_path / "long.csv"
         path.write_text("t,v\n" + "".join(f"{i},{x}\n" for i, x in enumerate(values)))
         assert main(["test", str(path)]) == 2
-        assert f"n = {len(values)} needs about" in capsys.readouterr().err
+        assert f"n = {len(values)} is longer than" in capsys.readouterr().err
 
     def test_text_output(self, capsys, series_path):
         code, out = run_cli(capsys, "test", series_path, "--lrd", "0.6")
@@ -220,6 +220,29 @@ class TestPowerCommand:
         code, _ = run_cli(capsys, "power", "--density", "gamma:1")
         assert code == 2
 
+    def test_underflowing_alpha_exits_2(self, capsys):
+        # alpha / 2 is 0: this used to end in a StatisticsError traceback
+        assert main(["power", "--density", "normal:1", "--alpha", "5e-324"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: alpha_level") and err.count("\n") == 1
+
+    def test_overflowing_density_span_exits_2(self, capsys, tmp_path):
+        # unit mass, but the span overflows: this printed NaN for every point
+        path = tmp_path / "density.csv"
+        path.write_text("x,f\n-1e308,0\n0,1e-308\n1e308,0\n")
+        assert main(["power", "--density", f"file:{path}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_far_threshold_on_wide_density_is_degenerate(self, capsys, tmp_path):
+        # x + d overflows to inf on a grid reaching 1e308; interp gives the edge value
+        path = tmp_path / "density.csv"
+        path.write_text("x,f\n0,0\n5e307,2e-308\n1e308,0\n")
+        code, raw = run_cli(capsys, "power", "--density", f"file:{path}",
+                            "--d-grid", "0:1e308:1e308", "--format", "json")
+        assert code == 0
+        assert [pt["degenerate"] for pt in json.loads(raw)["points"]] == [False, True]
+
     def test_extreme_scales(self, capsys):
         # these used to end in OverflowError (w**3) and ZeroDivisionError (4*s*s)
         for spec in ("uniform:0:1e200", "normal:1e-200"):
@@ -358,3 +381,82 @@ class TestImportPath:
         assert codes == [0, 0, 0]
         assert scipy_modules == []
         assert not loaded_ma
+
+
+#: values that sit at or beyond the edges of float arithmetic
+EXTREMES = ("nan", "inf", "-inf", "1e308", "-1e308", "1e-320", "5e-324", "-0.0")
+PROBE_VALUES = ["3.0", "1.0", "4.0", "1.5", "5.0", "9.0", "2.0", "6.0"]  # n = 8: exhaustive runs
+
+
+def _series_csv(value=None, time=None):
+    rows = [[str(i), x] for i, x in enumerate(PROBE_VALUES)]
+    if value is not None:
+        rows[3][1] = value
+    if time is not None:
+        rows[5][0] = time
+    return "t,v\n" + "".join(",".join(r) + "\n" for r in rows)
+
+
+def _panel_csv(value=None):
+    rows = [[g, str(t), PROBE_VALUES[(t + k) % 8]] for k, g in enumerate("abc") for t in range(6)]
+    if value is not None:
+        rows[7][2] = value
+    return "g,t,v\n" + "".join(",".join(r) + "\n" for r in rows)
+
+
+def _probe_cases():
+    """(argv, files) params: argv names each file as {name}, files maps name to its text."""
+    plain = {"series": _series_csv(), "panel": _panel_csv()}
+    grid = "--d-grid=0:1:0.5"
+    cases = []
+    for v in EXTREMES:
+        files = {
+            **plain,
+            "series_v": _series_csv(value=v),
+            "series_t": _series_csv(time=v),
+            "panel_v": _panel_csv(value=v),
+            "dens_x": f"x,f\n-1,0\n0,1\n{v},0\n",
+            "dens_f": f"x,f\n-1,0\n0,{v}\n1,0\n",
+        }
+        for argv in (
+            ["test", "{series}", f"--lrd={v}"],
+            ["test", "{series}", f"--lrd={v}", "--lrd-mode=fraction-of-mean"],
+            ["test", "{series}", f"--lrd={v}", "--method=permutation", "--permutations=50"],
+            ["test", "{series}", f"--lrd={v}", "--method=exhaustive", "--boundary=lt"],
+            ["regional", "{panel}", f"--lrd={v}"],
+            ["regional", "{panel}", f"--lrd={v}", "--lrd-mode=fraction-of-mean",
+             "--method=permutation", "--permutations=50"],
+            ["test", "{series_v}"],
+            ["test", "{series_v}", "--method=permutation", "--permutations=50"],
+            ["test", "{series_t}"],
+            ["regional", "{panel_v}"],
+            ["regional", "{panel_v}", "--method=permutation", "--permutations=50"],
+            ["power", f"--density=normal:{v}", grid],
+            ["power", f"--density=uniform:{v}:1", grid],
+            ["power", f"--density=uniform:-1:{v}", grid],
+            ["power", "--density=file:{dens_x}", grid],
+            ["power", "--density=file:{dens_f}", grid],
+            ["power", "--density=normal:1", f"--d-grid=0:{v}:{v}"],
+            ["power", "--density=normal:1", f"--d-grid={v}:1:0.5"],
+            ["power", "--density=normal:1", grid, f"--slope={v}"],
+            ["power", "--density=normal:1", grid, f"--alpha={v}"],
+        ):
+            cases.append(pytest.param(argv, files, id=f"{v}: {' '.join(argv)}"))
+    # unit mass on a grid whose span overflows
+    wide = ["power", "--density=file:{wide}", grid]
+    cases.append(pytest.param(wide, {"wide": "x,f\n-1e308,0\n0,1e-308\n1e308,0\n"},
+                              id=" ".join(wide)))
+    return cases
+
+
+class TestAdversarialArgv:
+    @pytest.mark.parametrize("argv, files", _probe_cases())
+    def test_exits_cleanly(self, capsys, tmp_path, argv, files):
+        paths = {}
+        for name, text in files.items():
+            paths[name] = tmp_path / f"{name}.csv"
+            paths[name].write_text(text)
+        code = main([a.format(**paths) for a in argv])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3)
+        assert err == "" or (err.startswith("error: ") and err.count("\n") == 1)

@@ -18,7 +18,7 @@ from lrdkendall import (
     tie_proportion,
     uv_counts,
 )
-from lrdkendall.core import _check_budget, pair_counts
+from lrdkendall.core import _check_length, pair_counts
 
 # Ten blood-pressure readings reused across the suite.  Brute-force pair
 # enumeration (the loop in oracle_s below) gives S=15 at d=0 and, with
@@ -42,14 +42,13 @@ def oracle_s(values, d=0.0, boundary="leq"):
     return s
 
 
-#: the shortest series the pairwise memory bound refuses: (8 + 9m) n^2
-#: bytes at m = 1 first exceeds PAIR_BYTES_BUDGET (2 GiB) here
-OVER_BUDGET_N = 11_240
+#: the shortest series the length cap (MAX_SERIES_N) refuses
+TOO_LONG_N = 11_240
 
 
-def over_budget() -> Series:
+def too_long() -> Series:
     """The shortest series every single-series entry point refuses."""
-    return Series.from_values(np.arange(OVER_BUDGET_N, dtype=float))
+    return Series.from_values(np.arange(TOO_LONG_N, dtype=float))
 
 
 class TestPairScore:
@@ -99,7 +98,7 @@ class TestPairScore:
 
 class TestSeries:
     def test_from_values_grid(self):
-        s = Series.from_values([3.0, 1.0, 2.0], label="x")
+        s = Series.from_values([3.0, 1.0, 2.0])
         assert list(s.times) == [0.0, 1.0, 2.0]
         assert len(s) == 3
 
@@ -214,7 +213,7 @@ class TestUvCounts:
             uv_counts(series, LrdRule(d=0.6, direction="positive_only"))
 
     def test_over_memory_budget_rejected(self):
-        series = over_budget()
+        series = too_long()
         with pytest.raises(InputError, match=f"n = {len(series)}"):
             uv_counts(series, LrdRule(d=0.0))
 
@@ -238,9 +237,8 @@ class TestTieProportion:
 
 class TestMemoryBound:
     def test_every_single_series_entry_point_refuses(self):
-        # one bound for both kernels: uv_counts used to accept this series
-        _check_budget(np.empty((1, OVER_BUDGET_N - 1)))  # one shorter passes
-        series = over_budget()
+        _check_length(np.empty((1, TOO_LONG_N - 1)))  # one shorter passes
+        series = too_long()
         rule = LrdRule(d=0.0)
         for call in (
             s_extended,
@@ -249,5 +247,5 @@ class TestMemoryBound:
             run_test,
             lambda s, r: permutation_test(s, r, replicates=10, method="sampled"),
         ):
-            with pytest.raises(InputError, match=f"n = {OVER_BUDGET_N} needs about"):
+            with pytest.raises(InputError, match=f"n = {TOO_LONG_N} is longer than"):
                 call(series, rule)

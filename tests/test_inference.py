@@ -16,7 +16,7 @@ from lrdkendall import (
     z_score,
 )
 
-from test_core import DBP, over_budget
+from test_core import DBP, too_long
 
 
 class TestZScore:
@@ -114,8 +114,8 @@ class TestTauExtended:
 
 class TestRunTest:
     def test_over_memory_budget_rejected(self):
-        series = over_budget()
-        with pytest.raises(InputError, match=f"n = {len(series)} needs about"):
+        series = too_long()
+        with pytest.raises(InputError, match=f"n = {len(series)} is longer than"):
             run_test(series, LrdRule(d=0.0))
 
     def test_dbp_plain(self):

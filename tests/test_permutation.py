@@ -15,9 +15,9 @@ from lrdkendall import (
     run_test,
 )
 
-from lrdkendall.permutation import MAX_REPLICATES
+from lrdkendall.seeds import MAX_REPLICATES
 
-from test_core import DBP, over_budget
+from test_core import DBP, too_long
 
 
 class TestExhaustive:
@@ -124,8 +124,8 @@ class TestSampled:
             permutation_test(Series.from_values(DBP), method="guess")
 
     def test_over_memory_budget_rejected(self):
-        series = over_budget()
-        with pytest.raises(InputError, match=f"n = {len(series)} needs about"):
+        series = too_long()
+        with pytest.raises(InputError, match=f"n = {len(series)} is longer than"):
             permutation_test(series, replicates=10, method="sampled")
 
 

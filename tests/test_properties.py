@@ -222,7 +222,7 @@ def test_run_test_fields_are_consistent(values, d):
 def test_regional_additivity(table, d):
     times = np.arange(4.0)
     groups = {
-        f"g{k}": Series(times, row, label=f"g{k}") for k, row in enumerate(table)
+        f"g{k}": Series(times, row) for k, row in enumerate(table)
     }
     result = regional_test(RegionalDataset(groups=groups), LrdPolicy(value=d))
     rule = LrdRule(d=d)

@@ -29,8 +29,8 @@ GOLDEN_ROWS = [
 def tiny_dataset():
     times = np.arange(4.0)
     return RegionalDataset(groups={
-        "a": Series(times, [1.0, 2.0, 3.0, 4.0], label="a"),
-        "b": Series(times, [2.0, 1.0, 4.0, 3.0], label="b"),
+        "a": Series(times, [1.0, 2.0, 3.0, 4.0]),
+        "b": Series(times, [2.0, 1.0, 4.0, 3.0]),
     })
 
 
@@ -146,7 +146,7 @@ class TestRegionalTest:
         assert result.periods == 5
 
     def test_single_group_matches_run_test(self):
-        series = Series(np.arange(6.0), [3.0, 1.0, 4.0, 1.0, 5.0, 9.0], label="only")
+        series = Series(np.arange(6.0), [3.0, 1.0, 4.0, 1.0, 5.0, 9.0])
         data = RegionalDataset(groups={"only": series})
         lone = regional_test(data, LrdPolicy(value=0.5))
         direct = run_test(series, LrdRule(d=0.5))

@@ -35,13 +35,18 @@ def make_scenario(**overrides):
 class TestScenario:
     def test_density_matches_scale(self):
         scenario = make_scenario()
-        assert scenario.density.sd() == pytest.approx(10.0)
+        assert scenario.density.sigma == pytest.approx(10.0)
 
     def test_uniform_support_from_sd(self):
         density = density_for("uniform", 15.0)
         half_width = 15.0 * math.sqrt(3)
-        assert density.support() == pytest.approx((-half_width, half_width))
-        assert density.sd() == pytest.approx(15.0)
+        assert (density.lower, density.upper) == pytest.approx((-half_width, half_width))
+        assert (density.upper - density.lower) / math.sqrt(12) == pytest.approx(15.0)
+
+    def test_underflowing_alpha_rejected(self):
+        # alpha / 2 is 0: run_cell used to raise StatisticsError
+        with pytest.raises(InputError, match="alpha_level"):
+            make_scenario(alpha_level=5e-324)
 
     def test_unknown_distribution(self):
         with pytest.raises(InputError):
