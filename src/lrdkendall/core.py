@@ -171,8 +171,7 @@ def pair_score(xi: float, xj: float, rule: LrdRule) -> int:
     return 1
 
 
-def _check_length(rows: np.ndarray) -> None:
-    n = rows.shape[1]
+def _check_length(n: int) -> None:
     if n > MAX_SERIES_N:
         raise InputError(f"a series of n = {n} is longer than the limit of {MAX_SERIES_N}")
 
@@ -224,7 +223,7 @@ def pair_counts(rows: np.ndarray, rule: LrdRule):
         >>> int(s[0]), int(scoring[0]), int(u[0].sum())
         (14, 40, 40)
     """
-    _check_length(rows)
+    _check_length(rows.shape[1])
     m, n = rows.shape
     # lags per step: about 2**15 differences, so a long series costs few numpy
     # calls per lag (8 lags at n = 4000) while a step stays cache-sized

@@ -24,7 +24,7 @@ from .core import LrdRule, Series, pair_counts, s_extended
 from .errors import InputError
 from .inference import SIDEDNESS
 from .regional import LrdPolicy, RegionalDataset
-from .seeds import check_replicates, chunks
+from .seeds import check_replicates, chunks, integral
 
 EXHAUSTIVE_MAX_N = 8          # 8! = 40320 orderings; 9! starts to drag
 _CHUNK_ELEMENTS = 4_000_000   # sets the rows per chunk, part of the seeding contract
@@ -56,10 +56,11 @@ def _rows_per_chunk(n: int) -> int:
     return max(1, min(4096, _CHUNK_ELEMENTS // pairs))
 
 
-def _check_args(sidedness: str, replicates: int) -> None:
+def _check_args(sidedness: str, replicates, seed) -> tuple[int, int]:
+    """(replicates, seed) as ints, by the rules Scenario applies to them."""
     if sidedness not in SIDEDNESS:
         raise InputError(f"sidedness must be one of {SIDEDNESS}, got {sidedness!r}")
-    check_replicates(replicates)
+    return check_replicates(replicates), integral(seed, "seed")
 
 
 def _sampled_null(groups, replicates: int, seed: int) -> np.ndarray:
@@ -118,7 +119,8 @@ def permutation_test(
         rule: Comparison policy (any direction); default d = 0.
         replicates: Number of sampled permutations (ignored in
             exhaustive mode); from 1 to seeds.MAX_REPLICATES.
-        seed: Base seed for the chunked draw streams.
+        seed: Base seed for the chunked draw streams. Like replicates, an
+            integer, or an integral float such as 5.0 that reads as 5.
         sidedness: "two_sided", "greater", or "less".
         method: "auto" enumerates all orderings for n <= 8 and samples
             otherwise; "exhaustive" and "sampled" force the choice
@@ -130,7 +132,7 @@ def permutation_test(
     """
     if rule is None:
         rule = LrdRule(d=0.0)
-    _check_args(sidedness, replicates)
+    replicates, seed = _check_args(sidedness, replicates, seed)
     if method not in ("auto", "exhaustive", "sampled"):
         raise InputError(f"unknown method {method!r}")
 
@@ -167,7 +169,7 @@ def regional_permutation_test(
     """
     if policy is None:
         policy = LrdPolicy()
-    _check_args(sidedness, replicates)
+    replicates, seed = _check_args(sidedness, replicates, seed)
 
     ruled = [(label, series, policy.rule_for(series))
              for label, series in data.groups.items()]

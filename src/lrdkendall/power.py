@@ -26,10 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AnalyticUnavailable, DegenerateRegime, InputError
-from .inference import critical_value
+from .inference import critical_value, p_value
 from .variance import MomentSet
 
-_SQRT2 = math.sqrt(2.0)
 _SQRT_PI = math.sqrt(math.pi)
 
 #: normalization tolerance for tabulated densities
@@ -42,11 +41,6 @@ DENOM_FLOOR = 1e-15
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(32)
 _ORTHANT_SIN = np.sin(math.pi / 12.0 * (_GL_X + 1.0))
 _ORTHANT_W = _GL_W / 24.0
-
-
-def _phi(x: float) -> float:
-    """Standard normal CDF via erfc (accurate into the far tail)."""
-    return 0.5 * math.erfc(-x / _SQRT2)
 
 
 # ── error densities ─────────────────────────────────────────────────────
@@ -350,7 +344,7 @@ def power_curve(
         except DegenerateRegime:
             points.append(PowerPoint(d, g_d, m, None, 1.0, degenerate=True))
             continue
-        power = _phi(-crit + drift) + _phi(-crit - drift)
+        power = p_value(crit - drift, "greater") + p_value(crit + drift, "greater")
         points.append(PowerPoint(d, g_d, m, drift, power))
     return tuple(points)
 

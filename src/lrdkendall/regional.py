@@ -8,6 +8,7 @@ independent; one standardized score then tests for a common trend.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,8 +120,22 @@ class LrdPolicy:
         if self.kind == "absolute":
             d = self.value
         else:
-            d = self.value * float(np.mean(series.values))
+            d = self.value * _mean(series.values)
         return LrdRule(d=d, boundary=self.boundary)
+
+
+def _mean(values: np.ndarray) -> float:
+    """The mean of finite values, also where their sum overflows.
+
+    np.mean where that is finite; otherwise the mean of the values scaled
+    down by a power of two >= n, whose sum cannot overflow, scaled back up.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.mean(values))
+    if math.isfinite(mean):
+        return mean
+    scale = 2.0 ** math.ceil(math.log2(len(values)))
+    return float(np.mean(values / scale)) * scale
 
 
 @dataclass(frozen=True)

@@ -26,10 +26,21 @@ from .errors import InputError
 MAX_REPLICATES = 10**7  # per sampled task; the null array of scores is then 80 MB
 
 
-def check_replicates(total: int) -> None:
-    """Refuse a replicate count outside 1..MAX_REPLICATES before any draw."""
+def integral(value, name: str) -> int:
+    """An int, numpy integer or integral float (2.0) as an int; a bool is not one."""
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise InputError(f"{name} must be an integer, got {value!r}")
+
+
+def check_replicates(total) -> int:
+    """A replicate count as an int, refused outside 1..MAX_REPLICATES before any draw."""
+    total = integral(total, "replicates")
     if not 1 <= total <= MAX_REPLICATES:
         raise InputError(f"replicates must be between 1 and {MAX_REPLICATES}, got {total}")
+    return total
 
 
 def generator_for(*parts) -> np.random.Generator:

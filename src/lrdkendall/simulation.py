@@ -35,11 +35,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import LrdRule, tie_fraction
+from .core import LrdRule, _check_length, tie_fraction
 from .errors import InputError
 from .inference import critical_value, score_rows
-from .power import ErrorDensity
-from .seeds import check_replicates, chunks
+from .power import ErrorDensity, moments
+from .seeds import check_replicates, chunks, integral
 
 THREADS_ENV = "LRDKENDALL_THREADS"
 _CHUNK_TARGET = 8_000_000  # sets the rows per chunk, part of the seeding contract
@@ -59,15 +59,6 @@ def density_for(distribution: str, error_sd: float) -> ErrorDensity:
         half = error_sd * math.sqrt(3.0)
         return ErrorDensity.uniform(-half, half)
     raise InputError(f"unknown distribution {distribution!r}")
-
-
-def _integral(value, name: str) -> int:
-    """An int, numpy integer or integral float (2.0) as an int; a bool is not one."""
-    if isinstance(value, (float, np.floating)) and float(value).is_integer():
-        return int(value)
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    raise InputError(f"{name} must be an integer, got {value!r}")
 
 
 def _real(value, name: str) -> float:
@@ -93,7 +84,9 @@ class Scenario:
 
     Construction is the one place a scenario's fields are checked. n, p,
     replicates and seed must be integral: Python or numpy integers, or
-    integral floats such as 2.0, but not bools; they are stored as int.
+    integral floats such as 2.0, but not bools; they are stored as int
+    (seeds.integral). n runs from 3 to core.MAX_SERIES_N, and replicates
+    from 1 to seeds.MAX_REPLICATES.
     theta, error_sd, alpha_level and each d_ratios entry must be finite
     real numbers, and are stored as float. n ** p and theta * n ** p must
     be finite, and so must 2 * (|theta| * n ** p + 64 * error_sd), so that
@@ -112,8 +105,9 @@ class Scenario:
     alpha_level: float = 0.05
 
     def __post_init__(self):
-        for name in ("n", "p", "replicates", "seed"):
-            object.__setattr__(self, name, _integral(getattr(self, name), name))
+        for name in ("n", "p", "seed"):
+            object.__setattr__(self, name, integral(getattr(self, name), name))
+        object.__setattr__(self, "replicates", check_replicates(self.replicates))
         for name in ("theta", "error_sd", "alpha_level"):
             object.__setattr__(self, name, _real(getattr(self, name), name))
         try:
@@ -127,7 +121,6 @@ class Scenario:
             raise InputError(f"need n >= 3, got {self.n}")
         if any(r < 0 for r in ratios):
             raise InputError(f"d_ratios must be >= 0, got {ratios!r}")
-        check_replicates(self.replicates)
         try:  # an inf signal makes NaN deltas, which would count as ties
             peak = abs(self.theta) * float(self.n) ** self.p
         except OverflowError:
@@ -140,6 +133,7 @@ class Scenario:
         # every value and every difference of two values stays finite
         if not math.isfinite(2 * (peak + 64 * self.error_sd)):
             raise InputError(f"error_sd {self.error_sd!r} lets the draws overflow")
+        _check_length(self.n)  # here, so that a grid fails before any of its cells runs
 
     @property
     def density(self) -> ErrorDensity:
@@ -227,16 +221,13 @@ def run_grid(scenarios) -> dict[CellKey, CellResult]:
     """Run every (scenario, d_ratio) cell; stable insertion order.
 
     Honors the LRDKENDALL_THREADS environment variable for the worker
-    count (default 1). Results are identical for any worker count, by
-    the per-cell seeding contract.
+    count (default 1, which runs the cells one at a time, in order).
+    Results are identical for any worker count, by the per-cell seeding
+    contract.
     """
     cells = [(s, r) for s in scenarios for r in s.d_ratios]
-    workers = _worker_count()
-    if workers <= 1 or len(cells) <= 1:
-        results = [run_cell(s, r) for s, r in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda c: run_cell(*c), cells))
+    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
+        results = list(pool.map(lambda c: run_cell(*c), cells))
     return {s.key(r): result for (s, r), result in zip(cells, results)}
 
 
@@ -250,24 +241,14 @@ def _worker_count() -> int:
 
 
 def expected_null_tie_proportion(distribution: str, d_ratio: float) -> float:
-    """Closed-form mean tie proportion under no trend.
+    """Closed-form mean tie proportion under no trend, P(|X1 - X2| <= d).
 
-    Depends only on the threshold-to-sd ratio. Normal errors:
-    2 Phi(r / sqrt(2)) - 1. Uniform errors: 1 - (1 - r / (2 sqrt(3)))^2
-    up to the support width, 1 beyond. An independent oracle for the
-    simulation pipeline's null column.
+    Depends only on the threshold-to-sd ratio, so it is
+    1 - 2 * moments(density_for(distribution, 1.0), d_ratio).above_one,
+    with above_one = P(X1 - X2 > d) from power.moments. An independent
+    oracle for the simulation pipeline's null column.
     """
-    r = float(d_ratio)
-    if r < 0 or not np.isfinite(r):
-        raise InputError(f"d_ratio must be finite and >= 0, got {d_ratio!r}")
-    if distribution == "normal":
-        return 1.0 - math.erfc(r / 2.0)
-    if distribution == "uniform":
-        width = 2.0 * math.sqrt(3.0)
-        if r >= width:
-            return 1.0
-        return 1.0 - (1.0 - r / width) ** 2
-    raise InputError(f"unknown distribution {distribution!r}")
+    return 1.0 - 2.0 * moments(density_for(distribution, 1.0), d_ratio).above_one
 
 
 # ── declarative grid configs ────────────────────────────────────────────
@@ -343,7 +324,7 @@ def load_grid_config(path, replicates: int | None = None, seed: int | None = Non
     for trend in _list(raw, "trends"):
         if not isinstance(trend, dict) or set(trend) != {"theta", "p"}:
             raise InputError(f"each trend needs exactly theta and p, got {trend!r}")
-        trends.append((trend["theta"], _integral(trend["p"], "p")))
+        trends.append((trend["theta"], integral(trend["p"], "p")))
 
     scenarios = []
     for dist in _list(raw, "distributions"):

@@ -10,6 +10,8 @@ import pytest
 
 import lrdkendall
 from lrdkendall.cli import main
+from lrdkendall.core import MAX_SERIES_N
+from lrdkendall.report import grid_rows, read_grid_csv
 
 from test_core import too_long
 
@@ -32,6 +34,24 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def run_clean(capsys, *argv):
+    """(exit code, stdout) of a call that must print nothing to stderr."""
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    assert err == ""
+    return code, out
+
+
+def assert_one_error_line(capsys, *argv):
+    assert main(list(argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+#: values whose sum overflows, though their mean (9.5e307) is finite
+HUGE = [9e307, 1e308]
 
 
 class TestTestCommand:
@@ -115,6 +135,26 @@ class TestTestCommand:
         code, _ = run_cli(capsys, "test", FIXTURE)
         assert code == 2
 
+    def test_fraction_of_mean_with_an_overflowing_sum(self, capsys, tmp_path):
+        # the sum used to overflow: a RuntimeWarning, then exit 2 with d = nan or inf
+        path = tmp_path / "huge.csv"
+        path.write_text("t,v\n" + "".join(f"{t},{HUGE[t % 2]!r}\n" for t in range(10)))
+        for lrd in ("0", "0.1"):
+            code, raw = run_clean(capsys, "test", str(path), "--lrd", lrd,
+                                  "--lrd-mode", "fraction-of-mean", "--format", "json")
+            assert code == 0
+            want = 0.0 if lrd == "0" else pytest.approx(0.1 * 9.5e307)
+            assert json.loads(raw)["rule"]["d"] == want
+
+    @pytest.mark.parametrize("text", [
+        "a,b,c,d,e\n1,2,3,4,5\n",  # five columns
+        "t,v\n1,1.0\n2,\n",  # one usable value
+    ])
+    def test_unusable_table_exits_2(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        assert_one_error_line(capsys, "test", str(path))
+
 
 class TestRegionalCommand:
     def test_golden_row(self, capsys):
@@ -155,6 +195,18 @@ class TestRegionalCommand:
         path.write_text("t,v\n1,1\n2,2\n")
         code, _ = run_cli(capsys, "regional", str(path))
         assert code == 2
+
+    def test_fraction_of_mean_with_an_overflowing_sum(self, capsys, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text("g,t,v\n" + "".join(
+            f"{g},{t},{HUGE[(t + k) % 2]!r}\n" for k, g in enumerate("ab") for t in range(6)
+        ))
+        for lrd in ("0", "0.1"):
+            code, raw = run_clean(capsys, "regional", str(path), "--lrd", lrd,
+                                  "--lrd-mode", "fraction-of-mean", "--format", "json")
+            assert code == 0
+            want = 0.0 if lrd == "0" else pytest.approx(0.1 * 9.5e307)
+            assert [g["rule"]["d"] for g in json.loads(raw)["per_group"].values()] == [want] * 2
 
 
 class TestPowerCommand:
@@ -207,9 +259,9 @@ class TestPowerCommand:
         assert point["density_at_d"] == pytest.approx(1 / (2 * math.sqrt(math.pi)), abs=1e-4)
 
     def test_bad_grid_spec(self, capsys):
-        for spec in ("3:0:0.5", "0:inf:1", "nan:1:0.1", "0:1:nan", "0:1e9:1e-9"):
-            code, _ = run_cli(capsys, "power", "--density", "normal:1", "--d-grid", spec)
-            assert code == 2, spec
+        for spec in ("3:0:0.5", "0:inf:1", "nan:1:0.1", "0:1:nan", "0:1e9:1e-9",
+                     "0:1", "a:1:0.5"):
+            assert_one_error_line(capsys, "power", "--density", "normal:1", "--d-grid", spec)
 
     @pytest.mark.parametrize("slope", ["nan", "inf"])
     def test_non_finite_slope(self, capsys, slope):
@@ -219,6 +271,27 @@ class TestPowerCommand:
     def test_bad_density_spec(self, capsys):
         code, _ = run_cli(capsys, "power", "--density", "gamma:1")
         assert code == 2
+
+    def test_density_file_skips_blank_lines(self, capsys, tmp_path):
+        plain, blank = tmp_path / "plain.csv", tmp_path / "blank.csv"
+        plain.write_text("x,f\n-1,0\n0,1\n1,0\n")
+        blank.write_text("x,f\n\n-1,0\n0,1\n\n1,0\n\n")
+        outs = [run_clean(capsys, "power", "--density", f"file:{path}", "--format", "json")
+                for path in (plain, blank)]
+        assert outs[0] == outs[1] and outs[0][0] == 0
+
+    @pytest.mark.parametrize("text", [
+        "x,f\n-1,0,0\n0,1\n1,0\n",  # three columns
+        "x,f\n-1,0\n0,oops\n1,0\n",  # a row past the header that does not parse
+    ])
+    def test_malformed_density_file_exits_2(self, capsys, tmp_path, text):
+        path = tmp_path / "density.csv"
+        path.write_text(text)
+        assert_one_error_line(capsys, "power", "--density", f"file:{path}")
+
+    def test_unreadable_density_file_exits_2(self, capsys, tmp_path):
+        for path in (tmp_path / "missing.csv", tmp_path):  # absent, and a directory
+            assert_one_error_line(capsys, "power", "--density", f"file:{path}")
 
     def test_underflowing_alpha_exits_2(self, capsys):
         # alpha / 2 is 0: this used to end in a StatisticsError traceback
@@ -336,6 +409,30 @@ class TestSimulateCommand:
         assert main(argv) == 2
         assert "replicates must be between 1 and" in capsys.readouterr().err
 
+    def test_series_length_limit_exits_2_before_any_cell(self, capsys, monkeypatch, tmp_path):
+        # Scenario took n = 20000, so every n = 20 cell ran before run_cell refused it
+        def no_run(scenarios):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr("lrdkendall.cli.run_grid", no_run)
+        with open("configs/smoke_grid.json", encoding="utf-8") as fh:
+            config = json.load(fh)
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(dict(config, sample_sizes=[20, MAX_SERIES_N + 1])))
+        assert main(["simulate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"longer than the limit of {MAX_SERIES_N}" in err and err.count("\n") == 1
+
+    def test_json_cells_match_the_csv(self, capsys, tmp_path):
+        out = tmp_path / "grid.csv"
+        code, raw = run_clean(capsys, "simulate", "--config", "configs/smoke_grid.json",
+                              "--replicates", "100", "--out", str(out), "--format", "json")
+        assert code == 0
+        payload = json.loads(raw)
+        assert payload["kind"] == "simulation_grid"
+        with open(out, encoding="utf-8", newline="") as fh:
+            assert payload["cells"] == grid_rows(read_grid_csv(fh))
+
 
 class TestExitCodes:
     def test_unknown_subcommand_is_argparse_error(self):
@@ -388,19 +485,19 @@ EXTREMES = ("nan", "inf", "-inf", "1e308", "-1e308", "1e-320", "5e-324", "-0.0")
 PROBE_VALUES = ["3.0", "1.0", "4.0", "1.5", "5.0", "9.0", "2.0", "6.0"]  # n = 8: exhaustive runs
 
 
-def _series_csv(value=None, time=None):
+def _series_csv(value=None, time=None, cells=(3,)):
     rows = [[str(i), x] for i, x in enumerate(PROBE_VALUES)]
-    if value is not None:
-        rows[3][1] = value
+    for i in cells if value is not None else ():
+        rows[i][1] = value
     if time is not None:
         rows[5][0] = time
     return "t,v\n" + "".join(",".join(r) + "\n" for r in rows)
 
 
-def _panel_csv(value=None):
+def _panel_csv(value=None, cells=(7,)):
     rows = [[g, str(t), PROBE_VALUES[(t + k) % 8]] for k, g in enumerate("abc") for t in range(6)]
-    if value is not None:
-        rows[7][2] = value
+    for i in cells if value is not None else ():  # rows 6 to 11 are group b
+        rows[i][2] = value
     return "g,t,v\n" + "".join(",".join(r) + "\n" for r in rows)
 
 
@@ -415,6 +512,9 @@ def _probe_cases():
             "series_v": _series_csv(value=v),
             "series_t": _series_csv(time=v),
             "panel_v": _panel_csv(value=v),
+            # two extreme cells, so that a sum of the values can overflow
+            "series_vv": _series_csv(value=v, cells=(3, 4)),
+            "panel_vv": _panel_csv(value=v, cells=(7, 8)),
             "dens_x": f"x,f\n-1,0\n0,1\n{v},0\n",
             "dens_f": f"x,f\n-1,0\n0,{v}\n1,0\n",
         }
@@ -431,6 +531,8 @@ def _probe_cases():
             ["test", "{series_t}"],
             ["regional", "{panel_v}"],
             ["regional", "{panel_v}", "--method=permutation", "--permutations=50"],
+            ["test", "{series_vv}", "--lrd=0.1", "--lrd-mode=fraction-of-mean"],
+            ["regional", "{panel_vv}", "--lrd=0.1", "--lrd-mode=fraction-of-mean"],
             ["power", f"--density=normal:{v}", grid],
             ["power", f"--density=uniform:{v}:1", grid],
             ["power", f"--density=uniform:-1:{v}", grid],

@@ -237,7 +237,7 @@ class TestTieProportion:
 
 class TestMemoryBound:
     def test_every_single_series_entry_point_refuses(self):
-        _check_length(np.empty((1, TOO_LONG_N - 1)))  # one shorter passes
+        _check_length(TOO_LONG_N - 1)  # one shorter passes
         series = too_long()
         rule = LrdRule(d=0.0)
         for call in (

@@ -51,6 +51,16 @@ def test_unparseable_cell_flagged_with_line_number():
         read_input_table(["t,v", "1,1.0", "2,oops"])
 
 
+def test_five_columns_rejected():
+    with pytest.raises(InputError, match="expected 2, 3, or 4 columns, got 5"):
+        read_input_table(["a,b,c,d,e", "1,2,3,4,5"])
+
+
+def test_one_usable_value_is_no_series():
+    with pytest.raises(NoUsableData, match="fewer than 2"):
+        read_input_table(["t,v", "1,1.0", "2,"])
+
+
 def test_empty_input():
     with pytest.raises(NoUsableData):
         read_input_table([])

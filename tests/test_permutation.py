@@ -117,6 +117,25 @@ class TestSampled:
         result = permutation_test(Series.from_values(values), LrdRule(d=0.3), seed=0)
         assert result.exceed_count == 8312
 
+    def test_integral_floats_read_as_ints(self):
+        # seed=5.0 used to key the streams "5.0|perm|c" and report seed=5.0
+        series, data = Series.from_values(DBP), platelet_donations()
+        for call, arg in ((permutation_test, series), (regional_permutation_test, data)):
+            want = call(arg, replicates=50, seed=5)
+            got = call(arg, replicates=50.0, seed=np.float64(5.0))
+            assert got == want and type(got.seed) is int
+
+    def test_non_integral_seeds_and_counts_refused(self):
+        # replicates of True, "20" or 50.0 used to end in a TypeError
+        # traceback, or to run; seed="a" and seed=None were accepted
+        series, data = Series.from_values(DBP), platelet_donations()
+        for bad in ({"seed": "a"}, {"seed": None}, {"seed": True}, {"seed": 0.5},
+                    {"replicates": True}, {"replicates": "20"}, {"replicates": 50.5}):
+            with pytest.raises(InputError, match="must be an integer"):
+                permutation_test(series, **bad)
+            with pytest.raises(InputError, match="must be an integer"):
+                regional_permutation_test(data, **bad)
+
     def test_replicates_validated(self):
         with pytest.raises(InputError):
             permutation_test(Series.from_values(DBP), replicates=0)

@@ -113,6 +113,20 @@ class TestLrdPolicy:
         rule = policy.rule_for(Series.from_values([2.0, 4.0]))
         assert rule.d == pytest.approx(0.3)  # 10% of mean 3.0
 
+    def test_fraction_of_mean_with_an_overflowing_sum(self):
+        # the sum overflows: np.mean warned and gave inf, so d was refused
+        series = Series.from_values([9e307, 1e308] * 5)
+        for value, want in ((0.0, 0.0), (0.1, pytest.approx(0.1 * 9.5e307))):
+            policy = LrdPolicy(kind="fraction_of_group_mean", value=value)
+            assert policy.rule_for(series).d == want
+            data = RegionalDataset(groups={"a": series, "b": series})
+            assert regional_test(data, policy).per_group["a"].rule.d == want
+
+    def test_fraction_of_mean_is_np_mean_where_that_is_finite(self):
+        policy = LrdPolicy(kind="fraction_of_group_mean", value=0.05)
+        for series in platelet_donations().groups.values():
+            assert policy.rule_for(series).d == 0.05 * float(np.mean(series.values))
+
     def test_validation(self):
         with pytest.raises(InputError):
             LrdPolicy(kind="relative", value=0.1)

@@ -17,6 +17,7 @@ from lrdkendall import (
     run_cell,
     run_grid,
 )
+from lrdkendall.core import MAX_SERIES_N
 from lrdkendall.seeds import MAX_REPLICATES
 from lrdkendall.simulation import THREADS_ENV
 
@@ -83,6 +84,12 @@ class TestScenario:
         ]:
             with pytest.raises(InputError):
                 make_scenario(**change)
+
+    def test_series_length_limit(self):
+        # n above the kernel's limit used to pass until its cell ran
+        with pytest.raises(InputError, match=f"longer than the limit of {MAX_SERIES_N}"):
+            make_scenario(n=MAX_SERIES_N + 1)
+        assert make_scenario(n=MAX_SERIES_N).n == MAX_SERIES_N
 
     def test_overflowing_trend_rejected(self):
         # n ** p = inf used to give NaN deltas that counted as ties, so a
