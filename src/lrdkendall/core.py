@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import AnalyticUnavailable, InputError, InsufficientData
+from .errors import AnalyticUnavailable, InputError, InsufficientData, real
 
 BOUNDARIES = ("leq", "lt")
 DIRECTIONS = ("symmetric", "positive_only", "negative_only")
@@ -70,7 +70,8 @@ class LrdRule:
     direction: str = "symmetric"
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.d) or self.d < 0:
+        object.__setattr__(self, "d", real(self.d, "threshold d"))
+        if self.d < 0:
             raise InputError(f"threshold d must be finite and >= 0, got {self.d!r}")
         if self.boundary not in BOUNDARIES:
             raise InputError(f"boundary must be one of {BOUNDARIES}, got {self.boundary!r}")

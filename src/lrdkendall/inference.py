@@ -15,7 +15,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .core import LrdRule, Series, _symmetric_only, pair_counts, tie_fraction
-from .errors import InputError
+from .errors import InputError, real
 from .variance import var_classical, var_extended_hat, tie_groups
 
 # ── defaults ────────────────────────────────────────────────────────────
@@ -84,6 +84,7 @@ def critical_value(alpha_level: float) -> float:
     The size must be below 1 and large enough that alpha_level / 2 is
     not 0, else InputError.
     """
+    alpha_level = real(alpha_level, "alpha_level")
     if not (0.0 < alpha_level / 2.0 and alpha_level < 1.0):
         raise InputError(f"alpha_level must be in (0, 1), with alpha_level / 2 above 0, "
                          f"got {alpha_level!r}")

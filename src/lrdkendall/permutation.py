@@ -21,10 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LrdRule, Series, pair_counts, s_extended
-from .errors import InputError
+from .errors import InputError, integral
 from .inference import SIDEDNESS
 from .regional import LrdPolicy, RegionalDataset
-from .seeds import check_replicates, chunks, integral
+from .seeds import check_replicates, chunks
 
 EXHAUSTIVE_MAX_N = 8          # 8! = 40320 orderings; 9! starts to drag
 _CHUNK_ELEMENTS = 4_000_000   # sets the rows per chunk, part of the seeding contract

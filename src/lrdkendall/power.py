@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AnalyticUnavailable, DegenerateRegime, InputError
+from .errors import AnalyticUnavailable, DegenerateRegime, InputError, real
 from .inference import critical_value, p_value
 from .variance import MomentSet
 
@@ -74,15 +74,13 @@ class ErrorDensity:
 
     def __post_init__(self):
         if self.kind == "normal":
-            if self.sigma is None or not np.isfinite(self.sigma) or self.sigma <= 0:
+            object.__setattr__(self, "sigma", real(self.sigma, "sigma"))
+            if self.sigma <= 0:
                 raise InputError(f"normal density needs sigma > 0, got {self.sigma!r}")
         elif self.kind == "uniform":
-            if (
-                self.lower is None
-                or self.upper is None
-                or not self.lower < self.upper
-                or not math.isfinite(float(self.upper) - float(self.lower))
-            ):
+            for name in ("lower", "upper"):
+                object.__setattr__(self, name, real(getattr(self, name), name))
+            if not self.lower < self.upper or not math.isfinite(self.upper - self.lower):
                 raise InputError(
                     f"uniform density needs lower < upper and a finite width, got "
                     f"({self.lower!r}, {self.upper!r})"
@@ -116,11 +114,11 @@ class ErrorDensity:
 
     @classmethod
     def normal(cls, sigma: float = 1.0) -> "ErrorDensity":
-        return cls(kind="normal", sigma=float(sigma))
+        return cls(kind="normal", sigma=sigma)
 
     @classmethod
     def uniform(cls, lower: float, upper: float) -> "ErrorDensity":
-        return cls(kind="uniform", lower=float(lower), upper=float(upper))
+        return cls(kind="uniform", lower=lower, upper=upper)
 
     @classmethod
     def tabulated(cls, grid_x, grid_f) -> "ErrorDensity":
@@ -158,9 +156,7 @@ def diff_density(density: ErrorDensity, d: float) -> float:
     float
         g(d) >= 0, with the maximum at 0.
     """
-    if not np.isfinite(d):
-        raise InputError(f"d must be finite, got {d!r}")
-    a = abs(d)
+    a = abs(real(d, "d"))
     # ratios d / scale, squared with *: no power of the scale over- or underflows
     if density.kind == "normal":
         s = density.sigma
@@ -195,7 +191,8 @@ def moments(density: ErrorDensity, d: float) -> MomentSet:
         above_one  = P(X1 - X2 > d).
         At d = 0 every continuous density gives (1/3, 1/3, 1/6, 1/2).
     """
-    if not np.isfinite(d) or d < 0:
+    d = real(d, "threshold d")
+    if d < 0:
         raise InputError(f"threshold d must be finite and >= 0, got {d!r}")
 
     if density.kind == "uniform":
@@ -286,9 +283,7 @@ def asymptotic_drift(density: ErrorDensity, slope: float, d: float) -> float:
         When the variance term vanishes (threshold at or beyond the
         support width of a bounded density).
     """
-    if not np.isfinite(slope):
-        raise InputError(f"slope must be finite, got {slope!r}")
-    return _drift(slope, diff_density(density, d), moments(density, d))
+    return _drift(real(slope, "slope"), diff_density(density, d), moments(density, d))
 
 
 @dataclass(frozen=True)
@@ -331,8 +326,7 @@ def power_curve(
     tuple of PowerPoint
         One point per threshold, same order as the grid.
     """
-    if not np.isfinite(slope):
-        raise InputError(f"slope must be finite, got {slope!r}")
+    slope = real(slope, "slope")
     crit = critical_value(alpha_level)
     points = []
     for d in np.asarray(d_grid, dtype=float):

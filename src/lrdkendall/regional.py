@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LrdRule, Series
-from .errors import InputError, NoUsableData
+from .errors import InputError, NoUsableData, real
 from .inference import TrendTestResult, p_value, run_test, z_score
 
 #: below this many group-by-period cells the normal approximation is doubtful
@@ -112,7 +112,8 @@ class LrdPolicy:
     def __post_init__(self):
         if self.kind not in ("absolute", "fraction_of_group_mean"):
             raise InputError(f"unknown policy kind {self.kind!r}")
-        if not np.isfinite(self.value) or self.value < 0:
+        object.__setattr__(self, "value", real(self.value, "policy value"))
+        if self.value < 0:
             raise InputError(f"policy value must be finite and >= 0, got {self.value!r}")
 
     def rule_for(self, series: Series) -> LrdRule:

@@ -16,11 +16,8 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import asdict, fields
 from typing import get_type_hints
-
-import numpy as np
 
 from .inference import TrendTestResult
 from .permutation import PermutationResult
@@ -30,24 +27,7 @@ from .simulation import CellKey, CellResult
 
 
 def _sig(x, digits: int = 4) -> str:
-    if x is None:
-        return "-"
-    if isinstance(x, float) and not math.isfinite(x):
-        return str(x)
-    return f"{x:.{digits}g}"
-
-
-def _clean(value):
-    """Make a value JSON-serializable without losing precision."""
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, dict):
-        return {k: _clean(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_clean(v) for v in value]
-    return value
+    return "-" if x is None else f"{x:.{digits}g}"
 
 
 # ── machine form ────────────────────────────────────────────────────────
@@ -74,8 +54,8 @@ def to_payload(result) -> dict:
     if kind == "simulation_grid":
         return {"kind": kind, "cells": grid_rows(result)}
     if kind == "power_curve":
-        return {"kind": kind, "points": [_clean(asdict(p)) for p in result]}
-    return {"kind": kind, **_clean(asdict(result))}
+        return {"kind": kind, "points": [asdict(p) for p in result]}
+    return {"kind": kind, **asdict(result)}
 
 
 def render_json(result) -> str:

@@ -21,18 +21,9 @@ import hashlib
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, integral
 
 MAX_REPLICATES = 10**7  # per sampled task; the null array of scores is then 80 MB
-
-
-def integral(value, name: str) -> int:
-    """An int, numpy integer or integral float (2.0) as an int; a bool is not one."""
-    if isinstance(value, (float, np.floating)) and float(value).is_integer():
-        return int(value)
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    raise InputError(f"{name} must be an integer, got {value!r}")
 
 
 def check_replicates(total) -> int:

@@ -36,10 +36,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import LrdRule, _check_length, tie_fraction
-from .errors import InputError
+from .errors import InputError, integral, real
 from .inference import critical_value, score_rows
 from .power import ErrorDensity, moments
-from .seeds import check_replicates, chunks, integral
+from .seeds import check_replicates, chunks
 
 THREADS_ENV = "LRDKENDALL_THREADS"
 _CHUNK_TARGET = 8_000_000  # sets the rows per chunk, part of the seeding contract
@@ -51,7 +51,8 @@ def density_for(distribution: str, error_sd: float) -> ErrorDensity:
     Uniform support is centered, +/- sd * sqrt(3), so both kinds match
     in mean (0) and standard deviation.
     """
-    if error_sd <= 0 or not np.isfinite(error_sd):
+    error_sd = real(error_sd, "error_sd")
+    if error_sd <= 0:
         raise InputError(f"error_sd must be finite and > 0, got {error_sd!r}")
     if distribution == "normal":
         return ErrorDensity.normal(error_sd)
@@ -59,18 +60,6 @@ def density_for(distribution: str, error_sd: float) -> ErrorDensity:
         half = error_sd * math.sqrt(3.0)
         return ErrorDensity.uniform(-half, half)
     raise InputError(f"unknown distribution {distribution!r}")
-
-
-def _real(value, name: str) -> float:
-    """A finite int, float or numpy number as a float; a bool is not one."""
-    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
-        try:
-            x = float(value)
-        except OverflowError:  # an int beyond the float range
-            x = math.inf
-        if math.isfinite(x):
-            return x
-    raise InputError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -85,10 +74,10 @@ class Scenario:
     Construction is the one place a scenario's fields are checked. n, p,
     replicates and seed must be integral: Python or numpy integers, or
     integral floats such as 2.0, but not bools; they are stored as int
-    (seeds.integral). n runs from 3 to core.MAX_SERIES_N, and replicates
+    (errors.integral). n runs from 3 to core.MAX_SERIES_N, and replicates
     from 1 to seeds.MAX_REPLICATES.
     theta, error_sd, alpha_level and each d_ratios entry must be finite
-    real numbers, and are stored as float. n ** p and theta * n ** p must
+    real numbers, and are stored as float (errors.real). n ** p and theta * n ** p must
     be finite, and so must 2 * (|theta| * n ** p + 64 * error_sd), so that
     no draw or difference of draws overflows. Anything else, or a value
     out of range, raises InputError.
@@ -109,9 +98,9 @@ class Scenario:
             object.__setattr__(self, name, integral(getattr(self, name), name))
         object.__setattr__(self, "replicates", check_replicates(self.replicates))
         for name in ("theta", "error_sd", "alpha_level"):
-            object.__setattr__(self, name, _real(getattr(self, name), name))
+            object.__setattr__(self, name, real(getattr(self, name), name))
         try:
-            ratios = tuple(_real(r, "d_ratios entry") for r in self.d_ratios)
+            ratios = tuple(real(r, "d_ratios entry") for r in self.d_ratios)
         except TypeError:
             raise InputError(f"d_ratios must be a sequence, got {self.d_ratios!r}") from None
         object.__setattr__(self, "d_ratios", ratios)
@@ -316,7 +305,7 @@ def load_grid_config(path, replicates: int | None = None, seed: int | None = Non
         replicates = raw.get("replicates", 10000)
     if seed is None:
         seed = raw.get("seed", 0)
-    sd_bases = [_real(b, "sd_bases entry") for b in _list(raw, "sd_bases")]
+    sd_bases = [real(b, "sd_bases entry") for b in _list(raw, "sd_bases")]
     if any(b <= 0 for b in sd_bases):
         raise InputError(f"sd_bases must be > 0, got {sd_bases!r}")
     d_ratios = _list(raw, "d_ratios")
