@@ -36,6 +36,7 @@ def z_score(s_ex, variance, continuity: bool = True):
     Args:
         s_ex: Observed score (integer-valued), a scalar or an array.
         variance: Null variance, broadcast against s_ex; must be >= 0.
+            Both must be finite, else InputError.
         continuity: Apply the +/-1 correction toward zero.
 
     Returns:
@@ -46,6 +47,8 @@ def z_score(s_ex, variance, continuity: bool = True):
     if not np.all(np.isfinite(var)) or np.any(var < 0):
         raise InputError(f"variance must be finite and >= 0, got {variance!r}")
     s = np.asarray(s_ex, dtype=float)
+    if not np.all(np.isfinite(s)):
+        raise InputError(f"score must be finite, got {s_ex!r}")
     if continuity:
         s = s - np.sign(s)
     with np.errstate(divide="ignore", invalid="ignore"):

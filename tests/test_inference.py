@@ -60,6 +60,15 @@ class TestZScore:
         z = z_score(np.array([0, 1, -1, 5, -5]), 0.0)
         assert z.tolist() == [0.0, math.inf, -math.inf, math.inf, -math.inf]
 
+    def test_non_finite_score_is_refused(self):
+        # a NaN score used to come out as z = 0, so p = 1: "no trend"
+        for bad in (math.nan, math.inf, -math.inf, np.array([3.0, math.nan])):
+            for variance in (4.0, 0.0):
+                with pytest.raises(InputError, match="score must be finite"):
+                    z_score(bad, variance)
+        assert z_score(0, 0.0) == 0.0  # a sure tie still standardizes to 0
+        assert z_score(np.array([0, 2]), 0.0).tolist() == [0.0, math.inf]
+
     def test_array_rejects_any_bad_variance(self):
         for bad in (np.array([1.0, -1.0]), np.array([1.0, math.nan]), np.array([math.inf, 1.0])):
             with pytest.raises(InputError):
