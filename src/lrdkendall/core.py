@@ -248,13 +248,12 @@ def pair_counts(rows: np.ndarray, rule: LrdRule):
             t = n - lag
             # delta[b, i] is pair (i, i + lag + b), later minus earlier
             delta = later[lag:n].transpose(2, 0, 1) - pad[:t]
-            up = delta >= d_up if lt and d_up > 0 else delta > d_up
-            down = delta <= -d_down if lt and d_down > 0 else delta < -d_down
-            if lt and rule.d == 0:  # equal values exceed each other but never score
-                tie = delta == 0
-                up |= tie
-                down |= tie
-                equal += np.count_nonzero(tie, axis=(0, 1))
+            # under lt a thresholded move of exactly d counts; at d = 0 that
+            # includes 0, so equal values exceed each other but never score
+            up = delta >= d_up if lt and d_up == rule.d else delta > d_up
+            down = delta <= -d_down if lt and d_down == rule.d else delta < -d_down
+            if lt and rule.d == 0:
+                equal += np.count_nonzero(up & down, axis=(0, 1))
             for counter, hits in ((rise, up), (fall, down)):  # [b, i] is counter[b, lag + i + b]
                 at_later = np.ndarray((block, t, m), np.int16, counter, lag * s1, (s0 + s1, s1, s2))
                 at_later += hits
