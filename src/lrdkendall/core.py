@@ -70,7 +70,8 @@ class LrdRule:
     direction: str = "symmetric"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "d", real(self.d, "threshold d"))
+        # + 0.0 stores a -0.0, such as 0 times a negative group mean, as 0.0
+        object.__setattr__(self, "d", real(self.d, "threshold d") + 0.0)
         if self.d < 0:
             raise InputError(f"threshold d must be finite and >= 0, got {self.d!r}")
         if self.boundary not in BOUNDARIES:

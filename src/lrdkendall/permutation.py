@@ -23,7 +23,7 @@ import numpy as np
 from .core import LrdRule, Series, pair_counts, s_extended
 from .errors import InputError, integral
 from .inference import SIDEDNESS
-from .regional import LrdPolicy, RegionalDataset
+from .regional import LrdPolicy, RegionalDataset, _group_rules
 from .seeds import check_replicates, chunks
 
 EXHAUSTIVE_MAX_N = 8          # 8! = 40320 orderings; 9! starts to drag
@@ -171,9 +171,9 @@ def regional_permutation_test(
         policy = LrdPolicy()
     replicates, seed = _check_args(sidedness, replicates, seed)
 
-    ruled = [(label, series, policy.rule_for(series))
-             for label, series in data.groups.items()]
-    s_obs = sum(s_extended(series, rule) for _, series, rule in ruled)
-    groups = [(("regional", label), series.values, rule) for label, series, rule in ruled]
+    rules = _group_rules(data, policy)
+    s_obs = sum(s_extended(data.groups[label], rule) for label, rule in rules.items())
+    groups = [(("regional", label), data.groups[label].values, rule)
+              for label, rule in rules.items()]
     null_s = _sampled_null(groups, replicates, seed)
     return _result(null_s, s_obs, sidedness, "sampled", seed)

@@ -125,6 +125,23 @@ class LrdPolicy:
         return LrdRule(d=d, boundary=self.boundary)
 
 
+def _group_rules(data: RegionalDataset, policy: LrdPolicy) -> dict[str, LrdRule]:
+    """The rule each group of ``data`` is scored with under ``policy``, by label.
+
+    A threshold that comes out negative or infinite, as a fraction of a
+    negative or huge group mean does, raises InputError naming the group.
+    """
+    rules = {}
+    for label, series in data.groups.items():
+        try:
+            rules[label] = policy.rule_for(series)
+        except InputError as e:
+            raise InputError(
+                f"group {label!r} with mean {_mean(series.values)!r}: {e}"
+            ) from None
+    return rules
+
+
 def _mean(values: np.ndarray) -> float:
     """The mean of finite values, also where their sum overflows.
 
@@ -186,12 +203,10 @@ def regional_test(
     """
     if policy is None:
         policy = LrdPolicy()
-    per_group: dict[str, TrendTestResult] = {}
-    for label, series in data.groups.items():
-        rule = policy.rule_for(series)
-        per_group[label] = run_test(
-            series, rule, sidedness=sidedness, continuity=continuity
-        )
+    per_group = {
+        label: run_test(data.groups[label], rule, sidedness=sidedness, continuity=continuity)
+        for label, rule in _group_rules(data, policy).items()
+    }
 
     s_total = sum(r.s_extended for r in per_group.values())
     variance = sum(r.variance for r in per_group.values())

@@ -209,6 +209,25 @@ class TestRegionalCommand:
             assert [g["rule"]["d"] for g in json.loads(raw)["per_group"].values()] == [want] * 2
 
 
+    def test_fraction_of_a_negative_group_mean(self, capsys, tmp_path):
+        path = tmp_path / "negative.csv"
+        path.write_text("g,t,v\n" + "".join(
+            f"{g},{t},{x}\n" for g, xs in (("a", (-1, -2, -1.5, -1.2, -1.8)),
+                                           ("b", (1, 2, 3, 2.5, 4)))
+            for t, x in enumerate(xs)
+        ))
+        for method in ("normal", "permutation"):
+            assert main(["regional", str(path), "--lrd", "0.1", "--lrd-mode",
+                         "fraction-of-mean", "--method", method]) == 2
+            assert capsys.readouterr().err.startswith("error: group 'a' with mean -1.5: ")
+        code, raw = run_clean(capsys, "regional", str(path), "--lrd", "0",
+                              "--lrd-mode", "fraction-of-mean", "--format", "json")
+        assert code == 0 and '"d": -0.0' not in raw
+        code, text = run_clean(capsys, "regional", str(path), "--lrd", "0",
+                               "--lrd-mode", "fraction-of-mean")
+        assert code == 0 and " -0 " not in text
+
+
 class TestPowerCommand:
     def test_normal_curve(self, capsys):
         code, raw = run_cli(

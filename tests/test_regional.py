@@ -1,5 +1,7 @@
 """Aggregation of per-group scores into one regional statistic."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from lrdkendall import (
     RegionalDataset,
     Series,
     platelet_donations,
+    regional_permutation_test,
     regional_test,
     run_test,
 )
@@ -132,6 +135,32 @@ class TestLrdPolicy:
             LrdPolicy(kind="relative", value=0.1)
         with pytest.raises(InputError):
             LrdPolicy(value=-0.1)
+
+
+def negative_mean_dataset():
+    """Group "a" has mean -1.5; group "b" a positive mean."""
+    times = np.arange(5.0)
+    return RegionalDataset(groups={
+        "a": Series(times, [-1.0, -2.0, -1.5, -1.2, -1.8]),
+        "b": Series(times, [1.0, 2.0, 3.0, 2.5, 4.0]),
+    })
+
+
+class TestGroupRules:
+    @pytest.mark.parametrize("test", [regional_test, regional_permutation_test])
+    def test_negative_fraction_of_mean_names_the_group(self, test):
+        policy = LrdPolicy(kind="fraction_of_group_mean", value=0.1)
+        with pytest.raises(InputError, match=r"^group 'a' with mean -1\.5: threshold d"):
+            test(negative_mean_dataset(), policy)
+
+    def test_zero_fraction_of_a_negative_mean_is_positive_zero(self):
+        policy = LrdPolicy(kind="fraction_of_group_mean", value=0.0)
+        for test in (regional_test, regional_permutation_test):
+            result = test(negative_mean_dataset(), policy)
+            assert result.p > 0
+        d = regional_test(negative_mean_dataset(), policy).per_group["a"].rule.d
+        assert d == 0.0 and math.copysign(1.0, d) == 1.0
+        assert math.copysign(1.0, LrdRule(d=-0.0).d) == 1.0
 
 
 class TestRegionalTest:
