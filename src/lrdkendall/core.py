@@ -28,6 +28,15 @@ boundary modes differ in where a difference of exactly ``d`` lands:
   in the u/v counts of :func:`pair_counts`. See that function's note
   before relying on the counts of heavily duplicated data.
 
+On decimal data the comparison is exact for the binary values, not for
+the decimals they stand for, so rounding decides which pairs "exactly d"
+apart count. 95.8 - 95.2 evaluates to 0.5999999999999943, below 0.6, so
+on the series of the :func:`pair_counts` example "lt" and "leq" at
+d = 0.6 both give S = 14. On random walks of n = 2000 on a 0.1 grid, "lt" at d = 0.1 counted from under
+1% to about 20% of the pairs whose decimal difference is exactly 0.1,
+depending on the values' magnitudes. Data scaled to integers, such as
+tenths counted as whole numbers, with d scaled alike, compare exactly.
+
 A zero difference is a tie under every rule, including the
 one-directional ones: the score carries a sign factor, and sign(0) = 0.
 """
@@ -209,6 +218,12 @@ def pair_counts(rows: np.ndarray, rule: LrdRule):
         matches how published regional benchmark values were computed.
         The default "leq" boundary has no such quirk, and an observation
         is never compared with itself.
+
+        Under every symmetric rule but that one, the plug-in variance
+        (sum((u - v)^2) + sum(u)) / 3 is exactly the variance of s over
+        all n! orderings of the row, whose mean is 0. Under "lt" at
+        ``d = 0`` it exceeds that variance by sum_g w_g (w_g - 1) / 3,
+        over the groups of equal values, of size w_g.
 
     Args:
         rows: Matrix of shape (m, n), one series per row, n at most

@@ -5,7 +5,9 @@ factors so that every arithmetic identity below is exact in IEEE
 doubles; the invariants themselves are about structure, not rounding.
 """
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -238,3 +240,30 @@ def test_sampled_permutation_p_in_half_open_unit(values, d):
     result = permutation_test(series, LrdRule(d=d), replicates=60, seed=0, method="sampled")
     assert 0.0 < result.p <= 1.0
     assert result.p == pytest.approx((1 + result.exceed_count) / 61)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ks=st.lists(st.integers(0, 5), min_size=2, max_size=7),
+    step=st.sampled_from([0.1, 0.5, 1.0]),
+    d=st.sampled_from([0.0, 0.1, 0.3, 0.5, 1.0]),
+    boundary=boundaries,
+)
+def test_plug_in_variance_is_the_exact_permutation_variance(ks, step, d, boundary):
+    # values on a grid with many duplicates, compared over all n! orderings
+    # in exact rational arithmetic
+    values = np.array(ks) * step
+    rule = LrdRule(d=d, boundary=boundary)
+    null_s = [int(s) for s in pair_counts(np.array(list(itertools.permutations(values))), rule)[0]]
+    assert sum(null_s) == 0  # the symmetric null mean
+    exact = Fraction(sum(s * s for s in null_s), len(null_s))
+    _, _, u, v = pair_counts(values[None, :], rule)
+    plug_in = Fraction(int(((u - v) ** 2).sum() + u.sum()), 3)
+    # under lt at d = 0 each pair of equal values is an exceedance both ways
+    lt_zero = boundary == "lt" and d == 0
+    excess = Fraction(sum(w * (w - 1) for w in tie_groups(values)), 3) if lt_zero else 0
+    assert plug_in - exact == excess
+    if not lt_zero:
+        series = Series.from_values(values)
+        null_sd = permutation_test(series, rule, method="exhaustive").null_sd
+        assert math.isclose(null_sd**2, run_test(series, rule).variance, rel_tol=8 * 2.0**-52)
