@@ -32,10 +32,11 @@ On decimal data the comparison is exact for the binary values, not for
 the decimals they stand for, so rounding decides which pairs "exactly d"
 apart count. 95.8 - 95.2 evaluates to 0.5999999999999943, below 0.6, so
 on the series of the :func:`pair_counts` example "lt" and "leq" at
-d = 0.6 both give S = 14. On random walks of n = 2000 on a 0.1 grid, "lt" at d = 0.1 counted from under
-1% to about 20% of the pairs whose decimal difference is exactly 0.1,
-depending on the values' magnitudes. Data scaled to integers, such as
-tenths counted as whole numbers, with d scaled alike, compare exactly.
+d = 0.6 both give S = 14. On three random walks of n = 2000 on a 0.1
+grid, "lt" at d = 0.1 counted 0.2%, 7% and 19% of the pairs whose decimal
+difference is exactly 0.1; the share depends on the values' magnitudes.
+Data scaled to integers, such as tenths counted as whole numbers, with d
+scaled alike, compare exactly.
 
 A zero difference is a tie under every rule, including the
 one-directional ones: the score carries a sign factor, and sign(0) = 0.

@@ -77,9 +77,9 @@ class Scenario:
     (errors.integral). n runs from 3 to core.MAX_SERIES_N, and replicates
     from 1 to seeds.MAX_REPLICATES.
     theta, error_sd, alpha_level and each d_ratios entry must be finite
-    real numbers, and are stored as float (errors.real). n ** p and theta * n ** p must
-    be finite, and so must 2 * (|theta| * n ** p + 64 * error_sd), so that
-    no draw or difference of draws overflows. Anything else, or a value
+    real numbers, and are stored as float (errors.real). n ** p and
+    theta * n ** p must be finite, and so must 2 * (|theta| * n ** p +
+    64 * error_sd), so that no draw or difference of draws overflows. Anything else, or a value
     out of range, raises InputError.
     """
 

@@ -22,7 +22,7 @@ from lrdkendall import (
     render_json,
     run_test,
 )
-from lrdkendall.errors import integral, real
+from lrdkendall.errors import real
 from lrdkendall.inference import critical_value
 
 from test_core import DBP
@@ -64,15 +64,6 @@ def test_real_takes_python_and_numpy_numbers_as_float():
     for bad in (np.bool_(True), 10**400, -(10**400), np.float64("nan")):
         with pytest.raises(InputError, match="^x must be a finite number"):
             real(bad, "x")
-
-
-def test_integral_takes_integers_and_integral_floats_as_int():
-    for value, want in ((5, 5), (5.0, 5), (np.int64(7), 7), (np.float32(2.0), 2)):
-        x = integral(value, "n")
-        assert type(x) is int and x == want
-    for bad in (True, 2.5, "3", None, math.inf):
-        with pytest.raises(InputError, match="^n must be an integer"):
-            integral(bad, "n")
 
 
 def test_constructors_store_plain_floats():
