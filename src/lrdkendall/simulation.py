@@ -6,8 +6,8 @@ Thresholds are specified as ratios of that standard deviation, so cells
 are comparable across error scales. Each (distribution, n, error_sd,
 theta, p, d_ratio) cell gets its own deterministic random stream under
 the seeding contract in seeds.py; results are therefore reproducible
-cell by cell and independent of execution order, threading, and which
-other cells run. Replicates are scored by inference.score_rows, the
+cell by cell and independent of execution order and of which other
+cells run. Replicates are scored by inference.score_rows, the
 statistic that run_test reports.
 
 Design notes, fixed on purpose:
@@ -28,8 +28,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -41,7 +39,6 @@ from .inference import critical_value, score_rows
 from .power import ErrorDensity, moments
 from .seeds import check_replicates, chunks
 
-THREADS_ENV = "LRDKENDALL_THREADS"
 _CHUNK_TARGET = 8_000_000  # sets the rows per chunk, part of the seeding contract
 
 
@@ -79,8 +76,8 @@ class Scenario:
     theta, error_sd, alpha_level and each d_ratios entry must be finite
     real numbers, and are stored as float (errors.real). n ** p and
     theta * n ** p must be finite, and so must 2 * (|theta| * n ** p +
-    64 * error_sd), so that no draw or difference of draws overflows. Anything else, or a value
-    out of range, raises InputError.
+    64 * error_sd), so that no draw or difference of draws overflows.
+    Anything else, or a value out of range, raises InputError.
     """
 
     theta: float
@@ -207,26 +204,13 @@ def run_cell(scenario: Scenario, d_ratio: float) -> CellResult:
 
 
 def run_grid(scenarios) -> dict[CellKey, CellResult]:
-    """Run every (scenario, d_ratio) cell; stable insertion order.
+    """Run every (scenario, d_ratio) cell, in order; stable insertion order.
 
-    Honors the LRDKENDALL_THREADS environment variable for the worker
-    count (default 1, which runs the cells one at a time, in order).
-    Results are identical for any worker count, by the per-cell seeding
-    contract.
+    The cells run one at a time in the calling thread. Each draws only
+    from its own streams (seeds.py), so a cell's result does not depend
+    on which other cells run or in what order.
     """
-    cells = [(s, r) for s in scenarios for r in s.d_ratios]
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        results = list(pool.map(lambda c: run_cell(*c), cells))
-    return {s.key(r): result for (s, r), result in zip(cells, results)}
-
-
-def _worker_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        count = int(raw)
-    except ValueError:
-        raise InputError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-    return max(1, count)
+    return {s.key(r): run_cell(s, r) for s in scenarios for r in s.d_ratios}
 
 
 def expected_null_tie_proportion(distribution: str, d_ratio: float) -> float:

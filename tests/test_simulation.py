@@ -2,7 +2,6 @@
 
 import json
 import math
-import os
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +18,6 @@ from lrdkendall import (
 )
 from lrdkendall.core import MAX_SERIES_N
 from lrdkendall.seeds import MAX_REPLICATES
-from lrdkendall.simulation import THREADS_ENV
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -202,17 +200,6 @@ class TestRunGrid:
         for key, cell in grid.items():
             assert cell == run_cell(scenario, key.d_ratio)
 
-    def test_thread_count_does_not_change_results(self):
-        scenario = make_scenario()
-        try:
-            os.environ[THREADS_ENV] = "1"
-            single = run_grid([scenario])
-            os.environ[THREADS_ENV] = "3"
-            pooled = run_grid([scenario])
-        finally:
-            os.environ.pop(THREADS_ENV, None)
-        assert single == pooled
-
     def test_smoke_grid_rejection_counts_pinned(self):
         # integer outcomes of the seeded streams: changing chunk sizes or
         # stream keys moves them, and must then be recorded as deliberate
@@ -222,14 +209,6 @@ class TestRunGrid:
             for key, cell in grid.items()
         }
         assert counts == {(0.0, 0.0): 87, (0.0, 1.0): 71, (1.0, 0.0): 655, (1.0, 1.0): 665}
-
-    def test_bad_thread_env_rejected(self):
-        try:
-            os.environ[THREADS_ENV] = "many"
-            with pytest.raises(InputError):
-                run_grid([make_scenario()])
-        finally:
-            os.environ.pop(THREADS_ENV, None)
 
 
 class TestGridConfig:
