@@ -117,29 +117,33 @@ class LrdPolicy:
             raise InputError(f"policy value must be finite and >= 0, got {self.value!r}")
 
     def rule_for(self, series: Series) -> LrdRule:
-        """Resolve the scoring rule for one group."""
+        """Resolve the scoring rule for one series.
+
+        A threshold that comes out negative or infinite, as a fraction of
+        a negative or huge mean does, raises InputError naming the mean.
+        """
+        return self._rule_for(series, "series")
+
+    def _rule_for(self, series: Series, subject: str) -> LrdRule:
+        """rule_for, with ``subject`` naming the series in the error."""
         if self.kind == "absolute":
-            d = self.value
-        else:
-            d = self.value * _mean(series.values)
-        return LrdRule(d=d, boundary=self.boundary)
+            return LrdRule(d=self.value, boundary=self.boundary)
+        mean = _mean(series.values)
+        try:
+            return LrdRule(d=self.value * mean, boundary=self.boundary)
+        except InputError as e:
+            raise InputError(f"{subject} with mean {mean!r}: {e}") from None
 
 
 def _group_rules(data: RegionalDataset, policy: LrdPolicy) -> dict[str, LrdRule]:
     """The rule each group of ``data`` is scored with under ``policy``, by label.
 
-    A threshold that comes out negative or infinite, as a fraction of a
-    negative or huge group mean does, raises InputError naming the group.
+    As LrdPolicy.rule_for, but the error names the group as well as its mean.
     """
-    rules = {}
-    for label, series in data.groups.items():
-        try:
-            rules[label] = policy.rule_for(series)
-        except InputError as e:
-            raise InputError(
-                f"group {label!r} with mean {_mean(series.values)!r}: {e}"
-            ) from None
-    return rules
+    return {
+        label: policy._rule_for(series, f"group {label!r}")
+        for label, series in data.groups.items()
+    }
 
 
 def _mean(values: np.ndarray) -> float:

@@ -146,6 +146,18 @@ class TestTestCommand:
             want = 0.0 if lrd == "0" else pytest.approx(0.1 * 9.5e307)
             assert json.loads(raw)["rule"]["d"] == want
 
+    def test_fraction_of_a_negative_mean_names_the_mean(self, capsys, tmp_path):
+        path = tmp_path / "negative.csv"
+        path.write_text("t,v\n" + "".join(
+            f"{t},{x}\n" for t, x in enumerate((-1, -2, -1.5, -1.2, -1.8))
+        ))
+        for method in ("normal", "permutation"):
+            assert main(["test", str(path), "--lrd", "0.1", "--lrd-mode",
+                         "fraction-of-mean", "--method", method]) == 2
+            assert capsys.readouterr().err.startswith(
+                "error: series with mean -1.5: threshold d must be finite and >= 0, got -0.15"
+            )
+
     @pytest.mark.parametrize("text", [
         "a,b,c,d,e\n1,2,3,4,5\n",  # five columns
         "t,v\n1,1.0\n2,\n",  # one usable value
@@ -471,19 +483,23 @@ class TestExitCodes:
 class TestImportPath:
     def test_subcommands_run_without_scipy(self, series_path):
         # the runtime needs numpy alone; scipy stays a test-only oracle, and
-        # numpy.ma (about 10 ms to import) stays unloaded
+        # numpy.ma (about 10 ms to import), concurrent.futures and logging
+        # (8-10 ms together) stay unloaded
         calls = [
             ["test", series_path, "--lrd", "0.6", "--format", "json"],
             ["regional", os.path.abspath(FIXTURE), "--lrd", "0.05", "--format", "json"],
             ["power", "--density", "normal:1", "--d-grid", "0:3:0.5", "--format", "json"],
+            ["simulate", "--config", os.path.abspath("configs/smoke_grid.json"),
+             "--replicates", "20"],
         ]
+        unloaded = ["numpy.ma", "concurrent.futures", "logging"]
         script = (
             "import contextlib, io, json, sys\n"
             "from lrdkendall.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    codes = [main(argv) for argv in {calls!r}]\n"
             "print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith('scipy')),\n"
-            "                  'numpy.ma' in sys.modules]))\n"
+            f"                  [m for m in {unloaded!r} if m in sys.modules]]))\n"
         )
         src = os.path.dirname(os.path.dirname(lrdkendall.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -493,10 +509,10 @@ class TestImportPath:
             [sys.executable, "-c", script],
             env=env, capture_output=True, text=True, timeout=120, check=True,
         )
-        codes, scipy_modules, loaded_ma = json.loads(done.stdout)
-        assert codes == [0, 0, 0]
+        codes, scipy_modules, loaded = json.loads(done.stdout)
+        assert codes == [0, 0, 0, 0]
         assert scipy_modules == []
-        assert not loaded_ma
+        assert loaded == []
 
 
 #: values that sit at or beyond the edges of float arithmetic

@@ -153,6 +153,11 @@ class TestGroupRules:
         with pytest.raises(InputError, match=r"^group 'a' with mean -1\.5: threshold d"):
             test(negative_mean_dataset(), policy)
 
+    def test_negative_fraction_of_mean_names_the_series_mean(self):
+        policy = LrdPolicy(kind="fraction_of_group_mean", value=0.1)
+        with pytest.raises(InputError, match=r"^series with mean -1\.5: threshold d"):
+            policy.rule_for(negative_mean_dataset().groups["a"])
+
     def test_zero_fraction_of_a_negative_mean_is_positive_zero(self):
         policy = LrdPolicy(kind="fraction_of_group_mean", value=0.0)
         for test in (regional_test, regional_permutation_test):
