@@ -4,7 +4,8 @@ The CLI maps these onto exit codes: anything descending from
 ``InputError`` is a usage/data problem (exit 2), everything else under
 ``LrdKendallError`` is a statistical precondition failure (exit 3).
 Each numeric parameter a caller chooses enters through :func:`real` or
-:func:`integral`; its owner keeps the range check.
+:func:`integral`, or through :func:`extended_real` where +/-inf is meaningful
+and :func:`real_array` where an array is; its owner keeps the range check.
 """
 
 import math
@@ -44,16 +45,41 @@ class DegenerateRegime(LrdKendallError):
     """All comparisons are ties in distribution; the test statistic is degenerate."""
 
 
+def _as_float(value) -> float:
+    """An int, float or numpy number as a float, else NaN; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        return math.nan
+    try:
+        return float(value)
+    except OverflowError:  # an int beyond the float range
+        return math.inf if value > 0 else -math.inf
+
+
 def real(value, name: str) -> float:
     """A finite int, float or numpy number as a float; a bool is not one."""
-    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
-        try:
-            x = float(value)
-        except OverflowError:  # an int beyond the float range
-            x = math.inf
-        if math.isfinite(x):
-            return x
-    raise InputError(f"{name} must be a finite number, got {value!r}")
+    x = _as_float(value)
+    if not math.isfinite(x):
+        raise InputError(f"{name} must be a finite number, got {value!r}")
+    return x
+
+
+def extended_real(value, name: str) -> float:
+    """As real, but +/-inf passes too; NaN does not."""
+    x = _as_float(value)
+    if math.isnan(x):
+        raise InputError(f"{name} must be a finite or infinite number, got {value!r}")
+    return x
+
+
+def real_array(value, name: str) -> np.ndarray:
+    """A number or array of numbers as a float array; bools, strings and None are not.
+
+    Finiteness and range are left to the caller.
+    """
+    array = np.asarray(value)
+    if array.dtype.kind not in "iuf":
+        raise InputError(f"{name} must be a number or an array of numbers, got {value!r}")
+    return array.astype(float, copy=False)
 
 
 def integral(value, name: str) -> int:

@@ -15,7 +15,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .core import LrdRule, Series, _symmetric_only, pair_counts, tie_fraction
-from .errors import InputError, real
+from .errors import InputError, extended_real, real, real_array
 from .variance import var_classical, var_extended_hat, tie_groups
 
 # ── defaults ────────────────────────────────────────────────────────────
@@ -36,17 +36,18 @@ def z_score(s_ex, variance, continuity: bool = True):
     Args:
         s_ex: Observed score (integer-valued), a scalar or an array.
         variance: Null variance, broadcast against s_ex; must be >= 0.
-            Both must be finite, else InputError.
+            Both must be finite numbers or arrays of them (not bools),
+            else InputError.
         continuity: Apply the +/-1 correction toward zero.
 
     Returns:
         The z statistic, a float for scalar input. Where variance is 0:
         0.0 for s_ex == 0, signed infinity otherwise.
     """
-    var = np.asarray(variance, dtype=float)
+    var = real_array(variance, "variance")
     if not np.all(np.isfinite(var)) or np.any(var < 0):
         raise InputError(f"variance must be finite and >= 0, got {variance!r}")
-    s = np.asarray(s_ex, dtype=float)
+    s = real_array(s_ex, "score")
     if not np.all(np.isfinite(s)):
         raise InputError(f"score must be finite, got {s_ex!r}")
     if continuity:
@@ -65,10 +66,10 @@ def p_value(z: float, sidedness: str = "two_sided") -> float:
     gives Phi(z). Evaluated through erfc, which is accurate to ~1e-15
     even far out in the tail; the error that matters in practice is the
     normal approximation itself, not this evaluation. Infinite z is
-    accepted and gives the limiting value (0 or 1).
+    accepted and gives the limiting value (0 or 1); NaN, a bool or
+    anything else that is not a number raises InputError.
     """
-    if math.isnan(z):
-        raise InputError("z is NaN")
+    z = extended_real(z, "z")
     if sidedness not in SIDEDNESS:
         raise InputError(f"sidedness must be one of {SIDEDNESS}, got {sidedness!r}")
     sqrt2 = math.sqrt(2.0)

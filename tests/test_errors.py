@@ -23,7 +23,7 @@ from lrdkendall import (
     run_test,
 )
 from lrdkendall.errors import real
-from lrdkendall.inference import critical_value
+from lrdkendall.inference import critical_value, p_value, z_score
 
 from test_core import DBP
 
@@ -54,6 +54,34 @@ NOT_NUMBERS = ["0.5", None, True, [0.5], math.nan, math.inf]
 def test_routed_argument_refuses_what_is_not_a_finite_number(name, entry, bad):
     with pytest.raises(InputError, match=f"^{name} must be a finite number"):
         entry(bad)
+
+
+# arguments wider than a finite scalar, with the NOT_NUMBERS that apply: z
+# may be infinite, and z_score takes arrays
+WIDER = [
+    ("z", lambda x: p_value(x), ["0.5", None, True, np.True_, [0.5], math.nan]),
+    ("score", lambda x: z_score(x, 1.0),
+     ["0.5", None, True, np.True_, np.array([True, False]), math.nan, math.inf]),
+    ("variance", lambda x: z_score(1, x),
+     ["0.5", None, True, np.True_, np.array([True, False]), math.nan, math.inf]),
+]
+
+
+@pytest.mark.parametrize("name, entry, bad", [
+    pytest.param(name, entry, bad, id=f"{name}-{bad!r}")
+    for name, entry, bads in WIDER for bad in bads
+])
+def test_wider_argument_refuses_what_is_not_a_number(name, entry, bad):
+    with pytest.raises(InputError, match=f"^{name} must be"):
+        entry(bad)
+
+
+def test_wider_arguments_keep_what_is_valid():
+    assert (p_value(math.inf), p_value(-math.inf, "greater")) == (0.0, 1.0)
+    assert p_value(np.float32(0.0)) == 1.0
+    assert z_score([0.5], 1.0, continuity=False).tolist() == [0.5]
+    assert z_score(1, [0.25], continuity=False).tolist() == [2.0]
+    assert z_score(np.int64(5), np.float32(4.0)) == 2.0
 
 
 def test_real_takes_python_and_numpy_numbers_as_float():
