@@ -204,7 +204,7 @@ def run_cell(scenario: Scenario, d_ratio: float) -> CellResult:
 
 
 def run_grid(scenarios) -> dict[CellKey, CellResult]:
-    """Run every (scenario, d_ratio) cell, in order; stable insertion order.
+    """Run every (scenario, d_ratio) cell in order; the dict keeps that order.
 
     The cells run one at a time in the calling thread. Each draws only
     from its own streams (seeds.py), so a cell's result does not depend
