@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .datasets import read_input_file
+from .datasets import read_density_columns, read_input_file
 from .errors import InputError, LrdKendallError
 from .inference import run_test
 from .permutation import permutation_test, regional_permutation_test
@@ -151,7 +151,7 @@ def cmd_regional(args) -> int:
 def _parse_density(spec: str) -> ErrorDensity:
     kind, _, rest = spec.partition(":")
     if kind == "file":
-        return _read_density_file(rest)
+        return ErrorDensity.tabulated(*read_density_columns(rest))
     try:
         if kind == "normal":
             return ErrorDensity.normal(float(rest))
@@ -165,33 +165,6 @@ def _parse_density(spec: str) -> ErrorDensity:
             f"bad density spec {spec!r}; expected normal:SIGMA or uniform:LOWER:UPPER"
         ) from None
     raise InputError(f"unknown density kind in {spec!r}")
-
-
-def _read_density_file(path: str) -> ErrorDensity:
-    """Two-column CSV (x, f(x)), optional header."""
-    xs, fs = [], []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                cells = line.split(",")
-                if len(cells) != 2:
-                    raise InputError(f"{path} line {lineno}: expected 2 columns")
-                try:
-                    x, f = float(cells[0]), float(cells[1])
-                except ValueError:
-                    if lineno == 1:
-                        continue  # header
-                    raise InputError(
-                        f"{path} line {lineno}: cannot parse {line!r}"
-                    ) from None
-                xs.append(x)
-                fs.append(f)
-    except OSError as e:
-        raise InputError(f"cannot read density file {path}: {e}") from e
-    return ErrorDensity.tabulated(xs, fs)
 
 
 def _parse_grid(spec: str) -> np.ndarray:

@@ -121,8 +121,14 @@ class Series:
             raise InputError("times contain NaN or infinity")
         if not np.all(np.isfinite(values)):
             raise InputError("values contain NaN or infinity")
-        if np.any(np.diff(times) <= 0):
-            raise InputError("times must be strictly increasing (duplicates rejected)")
+        # neighbours are compared, not subtracted: a difference could overflow
+        out_of_order = np.flatnonzero(times[1:] <= times[:-1])
+        if out_of_order.size:
+            i = out_of_order[0]
+            raise InputError(
+                "times must be strictly increasing (duplicates rejected), got "
+                f"{float(times[i])!r} then {float(times[i + 1])!r}"
+            )
         times.setflags(write=False)
         values.setflags(write=False)
         object.__setattr__(self, "times", times)

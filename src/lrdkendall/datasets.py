@@ -42,26 +42,24 @@ def _parse_float(cell: str, what: str, line: int) -> float:
 
 
 def _read_rows(lines) -> list[tuple[int, list[str]]]:
-    """Non-empty CSV rows as (line_number, cells), header skipped."""
+    """Non-blank CSV rows as (line_number, stripped cells), header included."""
     rows = []
     for lineno, cells in enumerate(csv.reader(lines), start=1):
         cells = [c.strip() for c in cells]
-        if not cells or all(c == "" for c in cells):
-            continue
-        rows.append((lineno, cells))
-    if not rows:
-        raise NoUsableData("input has no rows at all")
-    head_line, head = rows[0]
-    # the header is mandatory; a fully numeric first row means it is missing
-    def _numeric(c):
-        try:
-            float(c)
-            return True
-        except ValueError:
-            return False
-    if all(_numeric(c) for c in head if c != ""):
-        raise InputError(f"line {head_line}: header row required, got numbers")
-    return rows[1:]
+        if any(cells):
+            rows.append((lineno, cells))
+    return rows
+
+
+def _is_numeric(cells: list[str]) -> bool:
+    """Whether every non-empty cell parses as a float, as no header row does."""
+    try:
+        for c in cells:
+            if c:
+                float(c)
+    except ValueError:
+        return False
+    return True
 
 
 def read_input_table(lines) -> Series | RegionalDataset:
@@ -75,6 +73,11 @@ def read_input_table(lines) -> Series | RegionalDataset:
         NoUsableData: No data rows, or nothing left after exclusions.
     """
     rows = _read_rows(lines)
+    if not rows:
+        raise NoUsableData("input has no rows at all")
+    head_line, head = rows.pop(0)
+    if _is_numeric(head):
+        raise InputError(f"line {head_line}: header row required, got numbers")
     if not rows:
         raise NoUsableData("input has a header but no data rows")
     width = len(rows[0][1])
@@ -98,12 +101,7 @@ def read_input_table(lines) -> Series | RegionalDataset:
         if len(values) < 2:
             raise NoUsableData("fewer than 2 usable observations")
         order = np.argsort(times, kind="stable")
-        times = np.asarray(times)[order]
-        values = np.asarray(values)[order]
-        if np.any(np.diff(times) == 0):
-            dup = times[np.nonzero(np.diff(times) == 0)[0][0]]
-            raise InputError(f"duplicate time {dup!r} in single-series input")
-        return Series(times=times, values=values)
+        return Series(times=np.asarray(times)[order], values=np.asarray(values)[order])
 
     labels, times, values = [], [], []
     for lineno, cells in rows:
@@ -126,6 +124,28 @@ def read_input_file(path) -> Series | RegionalDataset:
             return read_input_table(fh)
     except OSError as e:
         raise InputError(f"cannot read {path}: {e}") from e
+
+
+def read_density_columns(path) -> tuple[list[float], list[float]]:
+    """The x and f(x) columns of a density file (format in the module doc).
+
+    Raises:
+        InputError: An unreadable file, or a malformed row with its line number.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            rows = _read_rows(fh)
+    except OSError as e:
+        raise InputError(f"cannot read density file {path}: {e}") from e
+    if rows and not _is_numeric(rows[0][1]):
+        del rows[0]  # the optional header
+    xs, fs = [], []
+    for lineno, cells in rows:
+        if len(cells) != 2:
+            raise InputError(f"line {lineno}: expected 2 columns, got {len(cells)}")
+        xs.append(_parse_float(cells[0], "x", lineno))
+        fs.append(_parse_float(cells[1], "f(x)", lineno))
+    return xs, fs
 
 
 def platelet_donations() -> RegionalDataset:

@@ -158,6 +158,13 @@ class TestTestCommand:
                 "error: series with mean -1.5: threshold d must be finite and >= 0, got -0.15"
             )
 
+    def test_times_beyond_the_float_range(self, capsys, tmp_path):
+        # their difference overflows: this printed a RuntimeWarning, an error in CI
+        path = tmp_path / "wide.csv"
+        path.write_text("t,v\n-1e308,1\n1e308,2\n")
+        code, raw = run_clean(capsys, "test", str(path), "--format", "json")
+        assert code == 0 and json.loads(raw)["s_extended"] == 1
+
     @pytest.mark.parametrize("text", [
         "a,b,c,d,e\n1,2,3,4,5\n",  # five columns
         "t,v\n1,1.0\n2,\n",  # one usable value
@@ -220,6 +227,11 @@ class TestRegionalCommand:
             want = 0.0 if lrd == "0" else pytest.approx(0.1 * 9.5e307)
             assert [g["rule"]["d"] for g in json.loads(raw)["per_group"].values()] == [want] * 2
 
+    def test_times_beyond_the_float_range(self, capsys, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("g,t,v\na,-1e308,1\na,1e308,2\nb,-1e308,1\nb,1e308,3\n")
+        code, raw = run_clean(capsys, "regional", str(path), "--format", "json")
+        assert code == 0 and json.loads(raw)["s_regional"] == 2
 
     def test_fraction_of_a_negative_group_mean(self, capsys, tmp_path):
         path = tmp_path / "negative.csv"
@@ -304,12 +316,20 @@ class TestPowerCommand:
         assert code == 2
 
     def test_density_file_skips_blank_lines(self, capsys, tmp_path):
-        plain, blank = tmp_path / "plain.csv", tmp_path / "blank.csv"
-        plain.write_text("x,f\n-1,0\n0,1\n1,0\n")
-        blank.write_text("x,f\n\n-1,0\n0,1\n\n1,0\n\n")
-        outs = [run_clean(capsys, "power", "--density", f"file:{path}", "--format", "json")
-                for path in (plain, blank)]
-        assert outs[0] == outs[1] and outs[0][0] == 0
+        texts = [
+            "x,f\n-1,0\n0,1\n1,0\n",
+            "x,f\n\n-1,0\n0,1\n\n1,0\n\n",
+            "-1,0\n0,1\n1,0\n",  # no header
+            "\nx,f\n-1,0\n0,1\n1,0\n",  # the header after a blank line
+            '"x","f"\n"-1","0"\n"0","1"\n1,"0"\n',  # quoted cells
+        ]
+        outs = []
+        for i, text in enumerate(texts):
+            path = tmp_path / f"density{i}.csv"
+            path.write_text(text)
+            outs.append(run_clean(capsys, "power", "--density", f"file:{path}",
+                                  "--format", "json"))
+        assert outs[0][0] == 0 and all(out == outs[0] for out in outs)
 
     @pytest.mark.parametrize("text", [
         "x,f\n-1,0,0\n0,1\n1,0\n",  # three columns

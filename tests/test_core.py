@@ -107,12 +107,17 @@ class TestSeries:
             Series.from_values([1.0])
         with pytest.raises(InputError):
             Series.from_values([1.0, float("nan")])
-        with pytest.raises(InputError):
-            Series(times=[0.0, 0.0], values=[1.0, 2.0])
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=r"rejected\), got 1\.0 then 1\.0$"):
+            Series(times=[0.0, 1.0, 1.0], values=[1.0, 2.0, 3.0])
+        with pytest.raises(InputError, match=r"rejected\), got 1\.0 then 0\.0$"):
             Series(times=[1.0, 0.0], values=[1.0, 2.0])
         with pytest.raises(InputError):
             Series(times=[0.0, 1.0, 2.0], values=[1.0, 2.0])
+
+    def test_times_beyond_the_float_range(self):
+        # their difference overflows; a RuntimeWarning fails the test
+        s = Series(times=[-1e308, 1e308], values=[1.0, 2.0])
+        assert list(s.times) == [-1e308, 1e308]
 
     def test_values_are_read_only(self):
         s = Series.from_values([1.0, 2.0, 3.0])

@@ -32,8 +32,8 @@ def test_missing_value_dropped_from_series():
 
 
 def test_duplicate_times_rejected():
-    with pytest.raises(InputError):
-        read_input_table(["t,v", "1,1.0", "1,2.0"])
+    with pytest.raises(InputError, match=r"rejected\), got 1\.0 then 1\.0$"):
+        read_input_table(["t,v", "2,1.0", "1,1.0", "1,2.0"])
 
 
 def test_header_is_mandatory():
