@@ -115,6 +115,7 @@ class LrdPolicy:
         object.__setattr__(self, "value", real(self.value, "policy value"))
         if self.value < 0:
             raise InputError(f"policy value must be finite and >= 0, got {self.value!r}")
+        LrdRule(d=0.0, boundary=self.boundary)  # refuses a boundary as every rule does
 
     def rule_for(self, series: Series) -> LrdRule:
         """Resolve the scoring rule for one series.

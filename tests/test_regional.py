@@ -135,6 +135,10 @@ class TestLrdPolicy:
             LrdPolicy(kind="relative", value=0.1)
         with pytest.raises(InputError):
             LrdPolicy(value=-0.1)
+        # refused where the policy is built, not blamed on the first group
+        for kind in ("absolute", "fraction_of_group_mean"):
+            with pytest.raises(InputError, match=r"^boundary must be one of \('leq', 'lt'\), got 'x'$"):
+                LrdPolicy(kind=kind, value=0.05, boundary="x")
 
 
 def negative_mean_dataset():
