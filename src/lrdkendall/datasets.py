@@ -1,8 +1,14 @@
 """CSV ingestion and the bundled example dataset.
 
-Input format: comma-separated, UTF-8, '.' decimal separator, one
-mandatory header row (its names are not interpreted; column meaning is
-positional). Three layouts are recognized by column count:
+Every CSV the package reads goes through this module: the input tables of
+the ``test`` and ``regional`` commands and the density files of ``power
+--density file:PATH``. Both are comma-separated, UTF-8, with a '.' decimal
+separator; cells may be quoted, surrounding spaces are stripped and blank
+rows are skipped. Errors name the line of the file.
+
+Input tables have one mandatory header row (its names are not
+interpreted; column meaning is positional). Three layouts are recognized
+by column count:
 
     time,value                      one series
     group,time,value                one series per group
@@ -12,6 +18,10 @@ An empty value cell marks a missing observation: in the one-series
 layout the observation is dropped; in grouped layouts the whole group is
 excluded from testing (and reported as excluded), since the aggregate
 test wants complete coverage of the time grid.
+
+A density file tabulates an error density for ``power``: two columns, x
+and f(x), one row per grid point in increasing x. The header row is
+optional; a first row that is not all numbers is taken for one.
 
 The bundled fixture ``data/platelets_2001_2005.csv`` holds annual
 platelet donations per 1000 inhabitants for 19 European countries over

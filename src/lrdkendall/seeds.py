@@ -10,7 +10,7 @@ purposes.
 
 Seeding contract: replicates are drawn in fixed-size :func:`chunks`,
 each from its own generator, so a sampled result is a pure function of
-its inputs regardless of scheduling, threading, or what ran first. The
+its inputs regardless of scheduling or what ran first. The
 chunk sizes and the task keys, ``("perm",)``, ``("regional", label)``
 and ``("sim", *cell key)``, are part of the contract.
 """
