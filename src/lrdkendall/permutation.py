@@ -26,8 +26,7 @@ from .inference import SIDEDNESS
 from .regional import LrdPolicy, RegionalDataset, _group_rules
 from .seeds import check_replicates, chunks
 
-EXHAUSTIVE_MAX_N = 8          # 8! = 40320 orderings; 9! starts to drag
-_CHUNK_ELEMENTS = 4_000_000   # sets the rows per chunk, part of the seeding contract
+EXHAUSTIVE_MAX_N = 8  # 8! = 40320 orderings; 9! starts to drag
 
 
 @dataclass(frozen=True)
@@ -51,11 +50,6 @@ class PermutationResult:
     seed: int | None = None
 
 
-def _rows_per_chunk(n: int) -> int:
-    pairs = n * (n - 1) // 2
-    return max(1, min(4096, _CHUNK_ELEMENTS // pairs))
-
-
 def _check_args(sidedness: str, replicates, seed) -> tuple[int, int]:
     """(replicates, seed) as ints, by the rules Scenario applies to them."""
     if sidedness not in SIDEDNESS:
@@ -69,12 +63,12 @@ def _sampled_null(groups, replicates: int, seed: int) -> np.ndarray:
     ``groups`` holds (key, values, rule) triples. Each group's values are
     permuted independently, in the chunks of the stream keyed ``key``.
     """
-    size = _rows_per_chunk(len(groups[0][1]))
+    n = len(groups[0][1])
     total = np.zeros(replicates, dtype=np.int64)
     for key, values, rule in groups:
         total += np.concatenate([
             pair_counts(rng.permuted(np.tile(values, (m, 1)), axis=1), rule)[0]
-            for rng, m in chunks(seed, key, replicates, size)
+            for rng, m in chunks(seed, key, replicates, n * (n - 1), 4096)
         ])
     return total
 

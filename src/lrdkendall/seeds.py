@@ -8,11 +8,12 @@ the same (seed, parameters) always yields the same stream, and distinct
 parameter tuples yield streams that are independent for all practical
 purposes.
 
-Seeding contract: replicates are drawn in fixed-size :func:`chunks`,
-each from its own generator, so a sampled result is a pure function of
-its inputs regardless of scheduling or what ran first. The
-chunk sizes and the task keys, ``("perm",)``, ``("regional", label)``
-and ``("sim", *cell key)``, are part of the contract.
+Seeding contract: replicates are drawn in :func:`chunks`, each from
+its own generator, so a sampled result is a pure function of its inputs
+regardless of scheduling or what ran first. The chunk sizes, which the
+budget CHUNK_CELLS and each caller's row cost and cap set, and the task
+keys, ``("perm",)``, ``("regional", label)`` and ``("sim", *cell key)``,
+are part of the contract.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 from .errors import InputError, integral
 
 MAX_REPLICATES = 10**7  # per sampled task; the null array of scores is then 80 MB
+CHUNK_CELLS = 8_000_000  # the cell budget of one chunk
 
 
 def check_replicates(total) -> int:
@@ -45,8 +47,10 @@ def generator_for(*parts) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def chunks(seed: int, key: tuple, total: int, size: int):
+def chunks(seed: int, key: tuple, total: int, row_cells: int, cap: int):
     """Yield (generator_for(seed, *key, c), rows) for each chunk c of
-    ``total`` replicates; every chunk but the last holds ``size`` rows."""
+    ``total`` replicates; every chunk but the last holds
+    max(1, min(cap, CHUNK_CELLS // row_cells)) rows."""
+    size = max(1, min(cap, CHUNK_CELLS // row_cells))
     for c, done in enumerate(range(0, total, size)):
         yield generator_for(seed, *key, c), min(size, total - done)

@@ -39,8 +39,6 @@ from .inference import critical_value, score_rows
 from .power import ErrorDensity, moments
 from .seeds import check_replicates, chunks
 
-_CHUNK_TARGET = 8_000_000  # sets the rows per chunk, part of the seeding contract
-
 
 def density_for(distribution: str, error_sd: float) -> ErrorDensity:
     """The study's error density of a given kind and standard deviation.
@@ -158,10 +156,6 @@ class CellResult:
     replicates_used: int
 
 
-def _rows_per_chunk(n: int) -> int:
-    return max(1, min(2500, _CHUNK_TARGET // (n * n)))
-
-
 def _simulate_chunk(rng, scenario: Scenario, m: int) -> np.ndarray:
     """Draw m replicate series as an (m, n) matrix."""
     n = scenario.n
@@ -187,12 +181,11 @@ def run_cell(scenario: Scenario, d_ratio: float) -> CellResult:
 
     rejections = 0
     tie_total = 0.0
-    for rng, m in chunks(
-        scenario.seed, ("sim", *key), scenario.replicates, _rows_per_chunk(scenario.n)
-    ):
+    n = scenario.n
+    for rng, m in chunks(scenario.seed, ("sim", *key), scenario.replicates, n * n, 2500):
         _, scoring, _, z = score_rows(_simulate_chunk(rng, scenario, m), rule)
         rejections += int(np.count_nonzero(np.abs(z) >= z_crit))
-        tie_total += float(tie_fraction(scoring, scenario.n).sum())
+        tie_total += float(tie_fraction(scoring, n).sum())
 
     rate = rejections / scenario.replicates
     return CellResult(
