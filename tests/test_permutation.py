@@ -117,6 +117,16 @@ class TestSampled:
         result = permutation_test(Series.from_values(values), LrdRule(d=0.3), seed=0)
         assert result.exceed_count == 8312
 
+    def test_exceed_count_pinned_where_the_budget_sets_the_chunks(self):
+        # at n = 60 the cell budget, not the row cap, sizes the chunks:
+        # 3000 draws are chunks of 2259 and 741 rows. The summed null score
+        # moves even when a chunk grows or shrinks by a row or two.
+        values = (np.arange(60) * 7 % 11) / 10 + np.arange(60) / 400
+        result = permutation_test(
+            Series.from_values(values), LrdRule(d=0.3), replicates=3000, seed=0
+        )
+        assert (result.exceed_count, round(result.null_mean * result.draws)) == (646, 5866)
+
     def test_integral_floats_read_as_ints(self):
         # seed=5.0 used to key the streams "5.0|perm|c" and report seed=5.0
         series, data = Series.from_values(DBP), platelet_donations()

@@ -210,6 +210,16 @@ class TestRunGrid:
         }
         assert counts == {(0.0, 0.0): 87, (0.0, 1.0): 71, (1.0, 0.0): 655, (1.0, 1.0): 665}
 
+    def test_rejection_count_pinned_where_the_budget_sets_the_chunks(self):
+        # at n = 60 the cell budget, not the row cap, sizes the chunks:
+        # 3000 replicates are chunks of 2222 and 778 rows. The total count
+        # of tied pairs moves even when a chunk grows or shrinks by a row.
+        scenario = make_scenario(n=60, theta=0.15, d_ratios=(1.0,), replicates=3000)
+        cell = run_cell(scenario, 1.0)
+        rejections = round(cell.rejection_rate * cell.replicates_used)
+        ties = round(cell.mean_tie_proportion * cell.replicates_used * 60 * 59 / 2)
+        assert (rejections, ties) == (1502, 2688512)
+
 
 class TestGridConfig:
     GOOD = {
