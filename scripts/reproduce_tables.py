@@ -16,6 +16,7 @@ import time
 from collections import defaultdict
 
 from lrdkendall import InputError, load_grid_config, run_grid, write_grid_csv
+from lrdkendall.cli import _open_out
 
 
 def blocked(grid):
@@ -50,8 +51,11 @@ def main(argv=None):
 
     try:
         scenarios = load_grid_config(args.config, replicates=args.replicates, seed=args.seed)
-        start = time.time()
-        grid = run_grid(scenarios)
+        with _open_out(args.out) as fh:
+            start = time.time()
+            grid = run_grid(scenarios)
+            if fh is not None:
+                write_grid_csv(grid, fh)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -66,8 +70,6 @@ def main(argv=None):
         print_block(f"tie proportion  ({label})", blocks[block_key], trends, "mean_tie_proportion")
 
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            write_grid_csv(grid, fh)
         print(f"\nwrote {args.out}")
     return 0
 

@@ -10,6 +10,7 @@ rule). Warnings never change the exit code.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from dataclasses import replace
 
@@ -192,11 +193,25 @@ def cmd_power(args) -> int:
     return _emit(points, args.format)
 
 
+def _open_out(path):
+    """``path`` opened for writing, or a null context when no path is given.
+
+    Callers open it before a grid runs, so that a path that cannot be
+    written fails at once rather than after the whole grid.
+    """
+    if not path:
+        return contextlib.nullcontext()
+    try:
+        return open(path, "w", encoding="utf-8", newline="")
+    except OSError as e:
+        raise InputError(f"cannot write {path}: {e}") from e
+
+
 def cmd_simulate(args) -> int:
     scenarios = load_grid_config(args.config, replicates=args.replicates, seed=args.seed)
-    results = run_grid(scenarios)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+    with _open_out(args.out) as fh:
+        results = run_grid(scenarios)
+        if fh is not None:
             write_grid_csv(results, fh)
     return _emit(results, args.format)
 

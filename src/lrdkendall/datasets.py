@@ -52,12 +52,23 @@ def _parse_float(cell: str, what: str, line: int) -> float:
 
 
 def _read_rows(lines) -> list[tuple[int, list[str]]]:
-    """Non-blank CSV rows as (line_number, stripped cells), header included."""
+    """Non-blank CSV rows as (line_number, stripped cells), header included.
+
+    Raises:
+        InputError: Text that is not UTF-8, or a row the csv reader
+            refuses, such as one with a cell over its field size limit.
+    """
     rows = []
-    for lineno, cells in enumerate(csv.reader(lines), start=1):
-        cells = [c.strip() for c in cells]
-        if any(cells):
-            rows.append((lineno, cells))
+    reader = csv.reader(lines)
+    try:
+        for lineno, cells in enumerate(reader, start=1):
+            cells = [c.strip() for c in cells]
+            if any(cells):
+                rows.append((lineno, cells))
+    except UnicodeDecodeError as e:
+        raise InputError(f"not UTF-8 text: cannot decode byte {e.object[e.start]:#04x}") from None
+    except csv.Error as e:
+        raise InputError(f"line {reader.line_num}: {e}") from None
     return rows
 
 

@@ -71,7 +71,7 @@ class RegionalDataset:
         grid = np.sort(times)
         grid = grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
         by_label: dict[str, dict[float, float]] = {}
-        for lab, t, x in zip(labels, times, values):
+        for lab, t, x in zip(labels, times.tolist(), values.tolist()):
             row = by_label.setdefault(lab, {})
             if t in row:
                 raise InputError(f"duplicate time {t!r} for group {lab!r}")

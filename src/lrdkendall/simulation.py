@@ -267,7 +267,7 @@ def load_grid_config(path, replicates: int | None = None, seed: int | None = Non
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
         raise InputError(f"cannot read grid config {path}: {e}") from e
     if not isinstance(raw, dict):
         raise InputError("grid config must be a JSON object")

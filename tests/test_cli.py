@@ -53,6 +53,10 @@ def assert_one_error_line(capsys, *argv):
 #: values whose sum overflows, though their mean (9.5e307) is finite
 HUGE = [9e307, 1e308]
 
+#: a file that is not UTF-8 text, and one with a cell over the csv field limit
+NOT_UTF8 = b"t,v\n1,\xff\xfe\n2,3\n"
+OVERSIZED_CELL = ("t,v\n1," + "9" * 131_073 + "\n2,3\n").encode()
+
 
 class TestTestCommand:
     def test_over_memory_budget_exits_2(self, capsys, tmp_path):
@@ -175,6 +179,27 @@ class TestTestCommand:
         assert_one_error_line(capsys, "test", str(path))
 
 
+class TestUnreadableText:
+    # each ended in a UnicodeDecodeError or _csv.Error traceback with exit 1
+    @pytest.mark.parametrize("argv", [
+        ["test", "{}"], ["regional", "{}"], ["power", "--density", "file:{}"],
+    ], ids=["test", "regional", "power"])
+    @pytest.mark.parametrize("content, message", [
+        (NOT_UTF8, "error: not UTF-8 text: cannot decode byte 0xff\n"),
+        (OVERSIZED_CELL, "error: line 2: field larger than field limit (131072)\n"),
+    ], ids=["not-utf8", "oversized-cell"])
+    def test_csv_exits_2(self, capsys, tmp_path, argv, content, message):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(content)
+        assert main([arg.format(path) for arg in argv]) == 2
+        assert capsys.readouterr().err == message
+
+    def test_grid_config_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(NOT_UTF8)
+        assert_one_error_line(capsys, "simulate", "--config", str(path))
+
+
 class TestRegionalCommand:
     def test_golden_row(self, capsys):
         code, raw = run_cli(
@@ -214,6 +239,13 @@ class TestRegionalCommand:
         path.write_text("t,v\n1,1\n2,2\n")
         code, _ = run_cli(capsys, "regional", str(path))
         assert code == 2
+
+    def test_duplicate_time_names_a_plain_float(self, capsys, tmp_path):
+        # the message used to print the time as np.float64(1.0)
+        path = tmp_path / "duplicate.csv"
+        path.write_text("g,t,v\na,1,1\na,1,2\n")
+        assert main(["regional", str(path)]) == 2
+        assert capsys.readouterr().err == "error: duplicate time 1.0 for group 'a'\n"
 
     def test_fraction_of_mean_with_an_overflowing_sum(self, capsys, tmp_path):
         path = tmp_path / "huge.csv"
@@ -473,6 +505,17 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert f"longer than the limit of {MAX_SERIES_N}" in err and err.count("\n") == 1
+
+    def test_unwritable_out_exits_2_before_any_cell(self, capsys, monkeypatch, tmp_path):
+        # --out was opened after the whole grid ran, then ended in a traceback
+        def no_run(scenarios):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr("lrdkendall.cli.run_grid", no_run)
+        out = tmp_path / "no" / "such" / "grid.csv"
+        assert main(["simulate", "--config", "configs/smoke_grid.json", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
 
     def test_json_cells_match_the_csv(self, capsys, tmp_path):
         out = tmp_path / "grid.csv"

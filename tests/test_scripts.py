@@ -28,6 +28,22 @@ class TestReproduceTables:
         assert "tie proportion  (normal, n=20, scale=15)" in text
         assert len(out.read_text().splitlines()) == 5  # header + 4 cells
 
+    def test_unwritable_out_is_one_line_error_before_any_cell(self, capsys, monkeypatch, tmp_path):
+        # --out was opened after the whole grid ran, then ended in a traceback
+        script = load_script("reproduce_tables")
+
+        def no_run(scenarios):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(script, "run_grid", no_run)
+        out = tmp_path / "no" / "such" / "grid.csv"
+        config = str(REPO / "configs" / "smoke_grid.json")
+        assert script.main([config, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        assert captured.err.count("\n") == 1
+
     def test_malformed_config_is_one_line_error(self, capsys, tmp_path):
         script = load_script("reproduce_tables")
         config = json.loads((REPO / "configs" / "smoke_grid.json").read_text())
@@ -74,3 +90,11 @@ class TestPowerCurveDemo:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_undecodable_density_file_is_one_line_error(self, capsys, tmp_path):
+        # ended in a UnicodeDecodeError traceback
+        path = tmp_path / "density.csv"
+        path.write_bytes(b"x,f\n-1,0\n0,\xff\n")
+        script = load_script("power_curve_demo")
+        assert script.main(["--density", f"file:{path}"]) == 2
+        assert capsys.readouterr().err == "error: not UTF-8 text: cannot decode byte 0xff\n"
