@@ -85,6 +85,11 @@ class TestPairScore:
         assert pair_score(3.0, 1.0, down_gated) == -1
         assert pair_score(1.0, 2.0, down_gated) == 1
 
+    def test_non_finite_pair_refused(self):
+        for xi, xj in ((float("nan"), 1.0), (1.0, float("inf"))):
+            with pytest.raises(InputError, match="finite inputs"):
+                pair_score(xi, xj, LrdRule(d=0.0))
+
     def test_rule_validation(self):
         with pytest.raises(InputError):
             LrdRule(d=-0.1)
@@ -113,6 +118,8 @@ class TestSeries:
             Series(times=[1.0, 0.0], values=[1.0, 2.0])
         with pytest.raises(InputError):
             Series(times=[0.0, 1.0, 2.0], values=[1.0, 2.0])
+        with pytest.raises(InputError, match="one-dimensional"):
+            Series(times=[[0.0, 1.0]], values=[[1.0, 2.0]])
 
     def test_times_beyond_the_float_range(self):
         # their difference overflows; a RuntimeWarning fails the test

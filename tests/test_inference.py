@@ -113,6 +113,10 @@ class TestTauExtended:
         assert tau_a == 0.0
         assert tau_b is None
 
+    def test_needs_two_observations(self):
+        with pytest.raises(InputError, match="need n >= 2"):
+            tau_extended(0, 0, 1)
+
     def test_dbp_values(self):
         # 40 scoring pairs out of 45; denominator sqrt(40 * 45)
         tau_a, tau_b = tau_extended(14, 40, 10)

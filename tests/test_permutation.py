@@ -151,6 +151,8 @@ class TestSampled:
             permutation_test(Series.from_values(DBP), replicates=0)
         with pytest.raises(InputError):
             permutation_test(Series.from_values(DBP), method="guess")
+        with pytest.raises(InputError, match="sidedness must be one of"):
+            permutation_test(Series.from_values(DBP), sidedness="sideways")
 
     def test_over_memory_budget_rejected(self):
         series = too_long()

@@ -86,6 +86,8 @@ class TestErrorDensity:
         with pytest.raises(InputError, match="integrates to inf"):
             # the mass overflows: refused, with no overflow warning
             ErrorDensity.tabulated([0.0, 1e300, 2e300], [0.0, 1e300, 0.0])
+        with pytest.raises(InputError, match="unknown density kind"):
+            ErrorDensity(kind="gamma")
 
 
 class TestDiffDensity:

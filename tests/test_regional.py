@@ -83,6 +83,12 @@ class TestRegionalDataset:
                 labels=["a", "a"], times=[0.0, 0.0], values=[1.0, 2.0],
             )
 
+    def test_from_columns_refuses_unequal_or_empty_columns(self):
+        with pytest.raises(InputError, match="equal length"):
+            RegionalDataset.from_columns(labels=["a", "a"], times=[0.0], values=[1.0, 2.0])
+        with pytest.raises(NoUsableData, match="empty input"):
+            RegionalDataset.from_columns(labels=[], times=[], values=[])
+
     def test_from_columns_grid_is_sorted_distinct_times(self):
         times = [3.5, -1.0, 0.0, 2.25, 2.25, 0.0, -1.0, 3.5]
         data = RegionalDataset.from_columns(

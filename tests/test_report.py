@@ -47,6 +47,14 @@ class TestTrendPayload:
         assert "small_n" in render_text(result)
 
 
+class TestUnknownResult:
+    @pytest.mark.parametrize("render", [render_json, render_text])
+    @pytest.mark.parametrize("result", [42, []])
+    def test_refused(self, render, result):
+        with pytest.raises(TypeError, match="no report form"):
+            render(result)
+
+
 class TestRegionalPayload:
     def test_aggregate_values(self):
         result = regional_test(platelet_donations(), LrdPolicy(boundary="lt"))

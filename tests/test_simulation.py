@@ -79,6 +79,10 @@ class TestScenario:
             {"seed": "5"},
             {"theta": 10**400},
             {"replicates": MAX_REPLICATES + 1},
+            {"error_sd": 0.0},
+            {"error_sd": -1.0},
+            {"p": 0},
+            {"d_ratios": (0.0, -1.0)},
         ]:
             with pytest.raises(InputError):
                 make_scenario(**change)
@@ -252,6 +256,12 @@ class TestGridConfig:
     def test_overrides(self, tmp_path):
         scenarios = load_grid_config(self.write(tmp_path, self.GOOD), replicates=7, seed=1)
         assert all(s.replicates == 7 and s.seed == 1 for s in scenarios)
+
+    def test_unreadable_or_non_object_file_rejected(self, tmp_path):
+        with pytest.raises(InputError, match="cannot read grid config"):
+            load_grid_config(tmp_path / "missing.json")
+        with pytest.raises(InputError, match="must be a JSON object"):
+            load_grid_config(self.write(tmp_path, [self.GOOD]))
 
     def test_unknown_key_rejected(self, tmp_path):
         bad = dict(self.GOOD, extra=1)

@@ -135,6 +135,11 @@ class TestVarTheoretical:
     def test_degenerate_moments_give_zero(self):
         assert var_theoretical(MomentSet(0.0, 0.0, 0.0, 0.0), 10) == 0.0
 
+    @pytest.mark.parametrize("variance", [var_theoretical, var_extended_from_moments])
+    def test_needs_two_observations(self, variance):
+        with pytest.raises(InputError, match="need n >= 2"):
+            variance(NULL_MOMENTS, 1)
+
 
 class TestMomentEstimates:
     def test_needs_three_observations(self):
