@@ -4,7 +4,8 @@ This is the fallback path recommended whenever the normal approximation
 is doubtful (small n, heavy ties) and the only path for one-directional
 rules, whose analytic variance is not derived.
 
-Sampled draws follow the seeding contract in :mod:`lrdkendall.seeds`.
+Sampled draws follow the seeding contract, which the :mod:`lrdkendall.seeds`
+docstring states with this module's row cost, cap and keys.
 For n <= 8 the test enumerates all n! orderings instead and the p-value
 is exact, with no randomness at all.
 

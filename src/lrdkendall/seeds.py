@@ -8,12 +8,21 @@ the same (seed, parameters) always yields the same stream, and distinct
 parameter tuples yield streams that are independent for all practical
 purposes.
 
-Seeding contract: replicates are drawn in :func:`chunks`, each from
-its own generator, so a sampled result is a pure function of its inputs
-regardless of scheduling or what ran first. The chunk sizes, which the
-budget CHUNK_CELLS and each caller's row cost and cap set, and the task
-keys, ``("perm",)``, ``("regional", label)`` and ``("sim", *cell key)``,
-are part of the contract.
+Seeding contract, stated here once: replicates are drawn in the
+:func:`chunks` of a task's stream, chunk c from generator_for(seed,
+*key, c), so a sampled result is a pure function of its inputs
+regardless of scheduling or what ran first. Every chunk but the last
+holds max(1, min(cap, CHUNK_CELLS // row_cells)) rows, where row_cells
+is what one replicate costs its caller:
+
+* simulation.run_cell: n * n cells, at most 2500 rows, key
+  ``("sim", *cell key)``;
+* permutation's sampled draws: n * (n - 1) cells, at most 4096 rows,
+  key ``("perm",)`` for one series and ``("regional", label)`` for
+  each group of a panel.
+
+The budget, the rule, the row costs, the caps and the keys are all part
+of the contract: changing any of them changes sampled results.
 """
 
 from __future__ import annotations

@@ -5,7 +5,8 @@ errors from a normal or uniform density of a given standard deviation.
 Thresholds are specified as ratios of that standard deviation, so cells
 are comparable across error scales. Each (distribution, n, error_sd,
 theta, p, d_ratio) cell gets its own deterministic random stream under
-the seeding contract in seeds.py; results are therefore reproducible
+the seeding contract, which the seeds module docstring states with this
+module's row cost and cap; results are therefore reproducible
 cell by cell and independent of execution order and of which other
 cells run. Replicates are scored by inference.score_rows, the
 statistic that run_test reports.
