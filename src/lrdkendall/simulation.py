@@ -268,7 +268,7 @@ def load_grid_config(path, replicates: int | None = None, seed: int | None = Non
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:  # bad UTF-8, bad JSON, an int over the digit limit
         raise InputError(f"cannot read grid config {path}: {e}") from e
     if not isinstance(raw, dict):
         raise InputError("grid config must be a JSON object")

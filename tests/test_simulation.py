@@ -262,6 +262,11 @@ class TestGridConfig:
             load_grid_config(tmp_path / "missing.json")
         with pytest.raises(InputError, match="must be a JSON object"):
             load_grid_config(self.write(tmp_path, [self.GOOD]))
+        # an integer past Python's int-string digit limit ended in a ValueError
+        path = tmp_path / "huge.json"
+        path.write_text('{"replicates": ' + "9" * 5000 + "}")
+        with pytest.raises(InputError):
+            load_grid_config(path)
 
     def test_unknown_key_rejected(self, tmp_path):
         bad = dict(self.GOOD, extra=1)
