@@ -27,6 +27,7 @@ Design notes, fixed on purpose:
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -220,42 +221,24 @@ def expected_null_tie_proportion(distribution: str, d_ratio: float) -> float:
 
 # ── declarative grid configs ────────────────────────────────────────────
 
-_CONFIG_KEYS = {
-    "distributions",
-    "sample_sizes",
-    "sd_bases",
-    "trends",
-    "d_ratios",
-    "replicates",
-    "seed",
-    "alpha_level",
-}
-
-
-def _list(raw: dict, key: str) -> list:
-    """The non-empty JSON array under ``key``."""
-    if not isinstance(raw[key], list) or not raw[key]:
-        raise InputError(f"{key} must be a non-empty list, got {raw[key]!r}")
-    return raw[key]
-
-
 def load_grid_config(path, replicates: int | None = None, seed: int | None = None):
     """Read a JSON grid config into a list of Scenarios.
 
-    Schema (all keys required except replicates/seed/alpha_level):
+    Schema, with the five axes required and the last three keys optional:
         distributions: ["normal", "uniform"]
         sample_sizes:  [20, 30]
         sd_bases:      [10, 15, 20]
         trends:        [{"theta": 0, "p": 1}, ...]
         d_ratios:      [0, 0.5, 1.0, 1.5, 2.0]
-        replicates:    10000        (default)
-        seed:          0            (default)
-        alpha_level:   0.05         (default)
+        replicates, seed, alpha_level
 
     Each (distribution, n, sd_base, trend) combination becomes one
     Scenario with error_sd = sd_base ** p, so the noise scale tracks the
-    trend's curvature (see the module notes). The replicates and seed
-    arguments override the file's values when given.
+    trend's curvature (see the module notes). The list runs over
+    distributions, then sample sizes, then sd_bases, then trends, the
+    last varying fastest. The optional keys go to every Scenario as
+    written; an absent one takes Scenario's default. The replicates and
+    seed arguments override the file's values when given.
 
     This function checks only the file's shape: a JSON object with the
     known keys, every axis a non-empty list, each trend an object with
@@ -272,47 +255,45 @@ def load_grid_config(path, replicates: int | None = None, seed: int | None = Non
         raise InputError(f"cannot read grid config {path}: {e}") from e
     if not isinstance(raw, dict):
         raise InputError("grid config must be a JSON object")
-    unknown = set(raw) - _CONFIG_KEYS
+    axes = ("distributions", "sample_sizes", "sd_bases", "trends", "d_ratios")
+    options = {k: raw.pop(k) for k in ("replicates", "seed", "alpha_level") if k in raw}
+    unknown = set(raw) - set(axes)
     if unknown:
         raise InputError(f"unknown config keys: {sorted(unknown)}")
-    missing = {"distributions", "sample_sizes", "sd_bases", "trends", "d_ratios"} - set(raw)
+    missing = set(axes) - set(raw)
     if missing:
         raise InputError(f"missing config keys: {sorted(missing)}")
+    for key in axes:
+        if not isinstance(raw[key], list) or not raw[key]:
+            raise InputError(f"{key} must be a non-empty list, got {raw[key]!r}")
+    distributions, sample_sizes, sd_bases, trends, d_ratios = (raw[key] for key in axes)
+    if replicates is not None:
+        options["replicates"] = replicates
+    if seed is not None:
+        options["seed"] = seed
 
-    if replicates is None:
-        replicates = raw.get("replicates", 10000)
-    if seed is None:
-        seed = raw.get("seed", 0)
-    sd_bases = [real(b, "sd_bases entry") for b in _list(raw, "sd_bases")]
+    sd_bases = [real(b, "sd_bases entry") for b in sd_bases]
     if any(b <= 0 for b in sd_bases):
         raise InputError(f"sd_bases must be > 0, got {sd_bases!r}")
-    d_ratios = _list(raw, "d_ratios")
-    trends = []
-    for trend in _list(raw, "trends"):
+    scales = []  # (theta, p, error_sd) per (sd_base, trend), trends varying fastest
+    for sd_base, trend in itertools.product(sd_bases, trends):
         if not isinstance(trend, dict) or set(trend) != {"theta", "p"}:
             raise InputError(f"each trend needs exactly theta and p, got {trend!r}")
-        trends.append((trend["theta"], integral(trend["p"], "p")))
+        p = integral(trend["p"], "p")
+        try:
+            scales.append((trend["theta"], p, sd_base ** p))
+        except OverflowError:
+            raise InputError(f"sd_base {sd_base!r} ** p {p} overflows") from None
 
-    scenarios = []
-    for dist in _list(raw, "distributions"):
-        for n in _list(raw, "sample_sizes"):
-            for sd_base in sd_bases:
-                for theta, p in trends:
-                    try:
-                        error_sd = sd_base ** p
-                    except OverflowError:
-                        raise InputError(f"sd_base {sd_base!r} ** p {p} overflows") from None
-                    scenarios.append(
-                        Scenario(
-                            theta=theta,
-                            p=p,
-                            n=n,
-                            distribution=dist,
-                            error_sd=error_sd,
-                            d_ratios=d_ratios,
-                            replicates=replicates,
-                            seed=seed,
-                            alpha_level=raw.get("alpha_level", 0.05),
-                        )
-                    )
-    return scenarios
+    return [
+        Scenario(
+            theta=theta,
+            p=p,
+            n=n,
+            distribution=dist,
+            error_sd=error_sd,
+            d_ratios=d_ratios,
+            **options,
+        )
+        for dist, n, (theta, p, error_sd) in itertools.product(distributions, sample_sizes, scales)
+    ]
