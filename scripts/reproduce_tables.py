@@ -23,7 +23,8 @@ def blocked(grid):
     """Regroup flat cells as blocks[(dist, n, sd_base)][ratio][trend]."""
     blocks = defaultdict(lambda: defaultdict(dict))
     for key, cell in grid.items():
-        sd_base = round(key.error_sd ** (1.0 / key.p), 6)
+        # by significant digits, so 3375 ** (1/3) groups with 15 and 1e-7 stays apart from 3e-7
+        sd_base = float(f"{key.error_sd ** (1.0 / key.p):.12g}")
         blocks[(key.distribution, key.n, sd_base)][key.d_ratio][(key.theta, key.p)] = cell
     return blocks
 

@@ -3,8 +3,9 @@
 Every CSV the package reads goes through this module: the input tables of
 the ``test`` and ``regional`` commands and the density files of ``power
 --density file:PATH``. Both are comma-separated, UTF-8, with a '.' decimal
-separator; cells may be quoted, surrounding spaces are stripped and blank
-rows are skipped. Errors name the line of the file.
+separator; a leading UTF-8 byte-order mark is ignored, cells may be quoted,
+surrounding spaces are stripped and blank rows are skipped. Errors name the
+line of the file.
 
 Input tables have one mandatory header row (its names are not
 interpreted; column meaning is positional). Three layouts are recognized
@@ -13,6 +14,9 @@ by column count:
     time,value                      one series
     group,time,value                one series per group
     group,season,time,value         one series per (group, season)
+
+A (group, season) series is labelled "group/season"; two pairs that give
+the same label, such as ("a/b", "c") and ("a", "b/c"), are refused.
 
 An empty value cell marks a missing observation: in the one-series
 layout the observation is dropped; in grouped layouts the whole group is
@@ -125,12 +129,19 @@ def read_input_table(lines) -> Series | RegionalDataset:
         return Series(times=np.asarray(times)[order], values=np.asarray(values)[order])
 
     labels, times, values = [], [], []
+    pairs = {}  # label -> (group, season) in the 4-column layout
     for lineno, cells in rows:
         if width == 3:
             lab, t, x = cells
         else:
             g, season, t, x = cells
             lab = f"{g}/{season}"
+            first = pairs.setdefault(lab, (g, season))
+            if first != (g, season):
+                raise InputError(
+                    f"line {lineno}: group {g!r} with season {season!r} and group "
+                    f"{first[0]!r} with season {first[1]!r} share the label {lab!r}"
+                )
         labels.append(lab)
         times.append(_parse_float(t, "time", lineno))
         # empty cell -> NaN -> the group is excluded by the dataset builder
@@ -141,7 +152,7 @@ def read_input_table(lines) -> Series | RegionalDataset:
 def read_input_file(path) -> Series | RegionalDataset:
     """read_input_table on a file path."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return read_input_table(fh)
     except OSError as e:
         raise InputError(f"cannot read {path}: {e}") from e
@@ -154,7 +165,7 @@ def read_density_columns(path) -> tuple[list[float], list[float]]:
         InputError: An unreadable file, or a malformed row with its line number.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             rows = _read_rows(fh)
     except OSError as e:
         raise InputError(f"cannot read density file {path}: {e}") from e

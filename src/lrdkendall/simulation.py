@@ -238,7 +238,8 @@ def load_grid_config(path, replicates: int | None = None, seed: int | None = Non
     distributions, then sample sizes, then sd_bases, then trends, the
     last varying fastest. The optional keys go to every Scenario as
     written; an absent one takes Scenario's default. The replicates and
-    seed arguments override the file's values when given.
+    seed arguments override the file's values when given. A leading UTF-8
+    byte-order mark is ignored.
 
     This function checks only the file's shape: a JSON object with the
     known keys, every axis a non-empty list, each trend an object with
@@ -249,7 +250,7 @@ def load_grid_config(path, replicates: int | None = None, seed: int | None = Non
     InputError.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             raw = json.load(fh)
     except (OSError, ValueError) as e:  # bad UTF-8, bad JSON, an int over the digit limit
         raise InputError(f"cannot read grid config {path}: {e}") from e

@@ -12,6 +12,15 @@ from lrdkendall import (
     read_input_file,
     read_input_table,
 )
+from lrdkendall.datasets import read_density_columns
+
+
+def bom_twins(tmp_path, text):
+    """Two files holding text, the second behind a UTF-8 byte-order mark."""
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_text(text, encoding="utf-8")
+    bom.write_text(text, encoding="utf-8-sig")
+    return plain, bom
 
 
 def test_two_columns_give_a_series():
@@ -98,12 +107,41 @@ def test_four_columns_split_by_season():
     assert sorted(got.groups) == ["x/summer", "x/winter"]
 
 
+def test_group_season_pairs_with_one_label_rejected():
+    # both rows became group 'a/b/c', refused as a duplicate time 1.0
+    with pytest.raises(InputError) as info:
+        read_input_table(["g,s,t,v", "a/b,c,1,1", "a,b/c,1,5"])
+    assert str(info.value) == (
+        "line 3: group 'a' with season 'b/c' and group 'a/b' with season 'c' "
+        "share the label 'a/b/c'"
+    )
+
+
 def test_file_round_trip(tmp_path):
     path = tmp_path / "series.csv"
     path.write_text("t,v\n1,1.5\n2,2.5\n")
     got = read_input_file(path)
     assert isinstance(got, Series)
     assert list(got.values) == [1.5, 2.5]
+
+
+def test_byte_order_mark_is_not_data(tmp_path):
+    # the mark made the first row "\ufeff0,90" a header, so a headerless
+    # file lost that row and was accepted with n = 2
+    errors = []
+    for path in bom_twins(tmp_path, "0,90\n1,95\n2,97\n"):
+        with pytest.raises(InputError) as info:
+            read_input_file(path)
+        errors.append(str(info.value))
+    assert errors == ["line 1: header row required, got numbers"] * 2
+
+
+def test_density_file_byte_order_mark_is_not_data(tmp_path):
+    # the mark made a headerless file's first grid point its header
+    plain, bom = bom_twins(tmp_path, "-1,0\n0,1\n1,0\n")
+    assert read_density_columns(bom) == read_density_columns(plain) == (
+        [-1.0, 0.0, 1.0], [0.0, 1.0, 0.0]
+    )
 
 
 class TestBundledPanel:
@@ -121,3 +159,4 @@ class TestBundledPanel:
 
     def test_loads_fresh_each_call(self):
         assert platelet_donations() is not platelet_donations()
+

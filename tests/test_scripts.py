@@ -28,6 +28,25 @@ class TestReproduceTables:
         assert "tie proportion  (normal, n=20, scale=15)" in text
         assert len(out.read_text().splitlines()) == 5  # header + 4 cells
 
+    def test_each_scale_gets_its_own_block(self, capsys, tmp_path):
+        # scales rounded to 6 decimals merged 1e-7 and 3e-7 into one "scale=0"
+        # block, which dropped a cell without a word
+        config = json.loads((REPO / "configs" / "smoke_grid.json").read_text())
+        trends = [{"theta": 0.0, "p": 1}, {"theta": 0.0, "p": 3}]
+        path = tmp_path / "scales.json"
+        path.write_text(json.dumps(dict(
+            config, sd_bases=[1e-7, 3e-7, 15.0], trends=trends, d_ratios=[0.0], replicates=20
+        )))
+        script = load_script("reproduce_tables")
+        assert script.main([str(path)]) == 0
+        text = capsys.readouterr().out
+        assert text.startswith("6 cells in ")
+        titles = [line for line in text.splitlines() if line.startswith("rejection rate")]
+        # at p = 3, (15 ** 3) ** (1/3) is 14.999999999999998, still the scale=15 block
+        assert titles == [
+            f"rejection rate  (normal, n=20, scale={scale})" for scale in ("1e-07", "3e-07", "15")
+        ]
+
     def test_unwritable_out_is_one_line_error_before_any_cell(self, capsys, monkeypatch, tmp_path):
         # --out was opened after the whole grid ran, then ended in a traceback
         script = load_script("reproduce_tables")

@@ -1,5 +1,6 @@
 """Monte Carlo engine: per-cell determinism, null calibration, config IO."""
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -256,6 +257,48 @@ class TestGridConfig:
     def test_overrides(self, tmp_path):
         scenarios = load_grid_config(self.write(tmp_path, self.GOOD), replicates=7, seed=1)
         assert all(s.replicates == 7 and s.seed == 1 for s in scenarios)
+
+    def test_scenario_order_and_defaults(self, tmp_path):
+        config = {
+            "distributions": ["uniform", "normal"],
+            "sample_sizes": [30, 20],
+            "sd_bases": [2.0, 3.0],
+            "trends": [{"theta": 1.0, "p": 2}, {"theta": 0.0, "p": 1}],
+            "d_ratios": [0.5],
+        }
+        scenarios = load_grid_config(self.write(tmp_path, config))
+        # nested-loop order, trends varying fastest: the grid CSV's row order
+        assert [(s.distribution, s.n, s.error_sd, s.theta, s.p) for s in scenarios] == [
+            (dist, n, sd_base ** p, theta, p)
+            for dist in ("uniform", "normal")
+            for n in (30, 20)
+            for sd_base in (2.0, 3.0)
+            for theta, p in ((1.0, 2), (0.0, 1))
+        ]
+        defaults = {f.name: f.default for f in dataclasses.fields(Scenario)}
+        assert all(
+            (s.replicates, s.seed, s.alpha_level)
+            == (defaults["replicates"], defaults["seed"], defaults["alpha_level"])
+            for s in scenarios
+        )
+        given = self.write(tmp_path, dict(config, replicates=100, seed=5, alpha_level=0.1))
+        assert {(s.replicates, s.seed, s.alpha_level) for s in load_grid_config(given)} == {
+            (100, 5, 0.1)
+        }
+        assert {
+            (s.replicates, s.seed, s.alpha_level) for s in load_grid_config(given, replicates=7)
+        } == {(7, 5, 0.1)}
+        assert {
+            (s.replicates, s.seed, s.alpha_level)
+            for s in load_grid_config(given, replicates=7, seed=3)
+        } == {(7, 3, 0.1)}
+
+    def test_byte_order_mark_ignored(self, tmp_path):
+        # json.load refused the mark: "Unexpected UTF-8 BOM"
+        plain = self.write(tmp_path, self.GOOD)
+        bom = tmp_path / "bom.json"
+        bom.write_text(plain.read_text(), encoding="utf-8-sig")
+        assert load_grid_config(bom) == load_grid_config(plain)
 
     def test_unreadable_or_non_object_file_rejected(self, tmp_path):
         with pytest.raises(InputError, match="cannot read grid config"):
