@@ -266,32 +266,25 @@ class TestGridConfig:
             "trends": [{"theta": 1.0, "p": 2}, {"theta": 0.0, "p": 1}],
             "d_ratios": [0.5],
         }
-        scenarios = load_grid_config(self.write(tmp_path, config))
+        path = self.write(tmp_path, config)
         # nested-loop order, trends varying fastest: the grid CSV's row order
-        assert [(s.distribution, s.n, s.error_sd, s.theta, s.p) for s in scenarios] == [
+        assert [(s.distribution, s.n, s.error_sd, s.theta, s.p) for s in load_grid_config(path)] == [
             (dist, n, sd_base ** p, theta, p)
             for dist in ("uniform", "normal")
             for n in (30, 20)
             for sd_base in (2.0, 3.0)
             for theta, p in ((1.0, 2), (0.0, 1))
         ]
+
+        def optional(path, **overrides):
+            return {(s.replicates, s.seed, s.alpha_level) for s in load_grid_config(path, **overrides)}
+
         defaults = {f.name: f.default for f in dataclasses.fields(Scenario)}
-        assert all(
-            (s.replicates, s.seed, s.alpha_level)
-            == (defaults["replicates"], defaults["seed"], defaults["alpha_level"])
-            for s in scenarios
-        )
+        assert optional(path) == {(defaults["replicates"], defaults["seed"], defaults["alpha_level"])}
         given = self.write(tmp_path, dict(config, replicates=100, seed=5, alpha_level=0.1))
-        assert {(s.replicates, s.seed, s.alpha_level) for s in load_grid_config(given)} == {
-            (100, 5, 0.1)
-        }
-        assert {
-            (s.replicates, s.seed, s.alpha_level) for s in load_grid_config(given, replicates=7)
-        } == {(7, 5, 0.1)}
-        assert {
-            (s.replicates, s.seed, s.alpha_level)
-            for s in load_grid_config(given, replicates=7, seed=3)
-        } == {(7, 3, 0.1)}
+        assert optional(given) == {(100, 5, 0.1)}
+        assert optional(given, replicates=7) == {(7, 5, 0.1)}
+        assert optional(given, replicates=7, seed=3) == {(7, 3, 0.1)}
 
     def test_byte_order_mark_ignored(self, tmp_path):
         # json.load refused the mark: "Unexpected UTF-8 BOM"
