@@ -16,7 +16,6 @@ sensible default rather than a published procedure.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +71,36 @@ def _sampled_null(groups, replicates: int, seed: int) -> np.ndarray:
             for rng, m in chunks(seed, key, replicates, n * (n - 1), 4096)
         ])
     return total
+
+
+def _ordering_scores(values: np.ndarray, rule: LrdRule) -> np.ndarray:
+    """S of every ordering of ``values``, in itertools.permutations order.
+
+    ``table[i, k]`` is the score of value i placed before value k, from one
+    pair_counts call over the n(n - 1) ordered pairs. The orderings then
+    grow one place at a time: each prefix carries its score and, for every
+    position, what appending that position would add to it. A prefix's
+    children take its unused positions in ascending order, which is the
+    order of itertools.permutations, so the identity ordering comes first.
+    """
+    n = len(values)
+    earlier, later = np.nonzero(~np.eye(n, dtype=bool))
+    table = np.zeros((n, n), dtype=np.int64)
+    table[earlier, later] = pair_counts(np.column_stack((values[earlier], values[later])), rule)[0]
+    score = np.zeros(1, dtype=np.int64)
+    gain = np.zeros((1, n), dtype=np.int64)
+    free = np.ones((1, n), dtype=bool)
+    for _ in range(n - 2):
+        parent, nxt = np.nonzero(free)  # row by row, so each prefix's positions ascend
+        score = score[parent] + gain[parent, nxt]
+        gain = gain[parent] + table[nxt]
+        free = free[parent]
+        free[np.arange(len(nxt)), nxt] = False
+    # the last two places at once: a prefix with a < b left ends a, b then b, a
+    a, b = np.nonzero(free)[1].reshape(-1, 2).T
+    prefix = np.arange(len(a))
+    base = score + gain[prefix, a] + gain[prefix, b]
+    return np.column_stack((base + table[a, b], base + table[b, a])).ravel()
 
 
 def _result(
@@ -132,19 +161,18 @@ def permutation_test(
         raise InputError(f"unknown method {method!r}")
 
     n = len(series)
-    s_obs = s_extended(series, rule)
     if method == "auto":
         method = "exhaustive" if n <= EXHAUSTIVE_MAX_N else "sampled"
-    if method == "exhaustive" and n > EXHAUSTIVE_MAX_N:
+    if method == "sampled":
+        s_obs = s_extended(series, rule)
+        null_s = _sampled_null([(("perm",), series.values, rule)], replicates, seed)
+    elif n > EXHAUSTIVE_MAX_N:
         raise InputError(
             f"exhaustive enumeration supports n <= {EXHAUSTIVE_MAX_N}, got {n}"
         )
-
-    if method == "exhaustive":
-        rows = np.array(list(itertools.permutations(series.values)))
-        null_s = pair_counts(rows, rule)[0]
     else:
-        null_s = _sampled_null([(("perm",), series.values, rule)], replicates, seed)
+        null_s = _ordering_scores(series.values, rule)
+        s_obs = null_s[0]  # the identity ordering
     return _result(null_s, s_obs, sidedness, method, seed)
 
 
