@@ -1,7 +1,12 @@
 """Permutation inference: exhaustive, sampled, and the grouped variant."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lrdkendall import (
     InputError,
@@ -15,6 +20,8 @@ from lrdkendall import (
     run_test,
 )
 
+from lrdkendall.core import BOUNDARIES, DIRECTIONS, pair_counts
+from lrdkendall.permutation import _ordering_scores
 from lrdkendall.seeds import MAX_REPLICATES
 
 from test_core import DBP, too_long
@@ -50,6 +57,63 @@ class TestExhaustive:
         series = Series.from_values(np.arange(9.0))
         with pytest.raises(InputError):
             permutation_test(series, method="exhaustive")
+
+    @pytest.mark.parametrize("values, rule, pin", [
+        # criterion 08's series
+        ([3.0, 1.0, 4.0, 1.5, 5.0, 9.0, 2.0], LrdRule(d=0.0),
+         (1922, 0.3813492063492063, "0x0.0p+0", "0x1.aa220c42b9ff5p+2")),
+        ([95.2, 98.6, 95.8, 100.7, 94.9, 92.8, 101.5, 99.0], LrdRule(d=0.6, boundary="lt"),
+         (32508, 0.80625, "0x0.0p+0", "0x1.f6947b8ca450ap+2")),
+        ([1.0, 1.2, 1.0, 0.9, 1.5, 1.2, 1.4, 1.0], LrdRule(d=0.2, direction="positive_only"),
+         (35352, 0.8767857142857143, "-0x1.8000000000000p+2", "0x1.a2dca8c4d8b99p+2")),
+    ])
+    def test_pinned(self, values, rule, pin):
+        # recorded from the n!-row enumeration; the null moments to the bit
+        result = permutation_test(Series.from_values(values), rule)
+        assert result.method == "exhaustive" and result.draws == {7: 5040, 8: 40320}[len(values)]
+        assert (result.exceed_count, result.p, result.null_mean.hex(), result.null_sd.hex()) == pin
+
+    def test_memory_bound(self):
+        # the n!-row enumeration peaked at 17.8 MB here, prefix expansion at 3.4 MB
+        series = Series.from_values([95.2, 98.6, 95.8, 100.7, 94.9, 92.8, 101.5, 99.0])
+        permutation_test(series, LrdRule(d=0.6))  # warm numpy's first-call caches
+        tracemalloc.start()
+        try:
+            permutation_test(series, LrdRule(d=0.6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
+
+
+# 0.1-grid values, so duplicates and differences of exactly d are common,
+# plus values whose differences overflow to infinity
+ordering_values = st.lists(
+    st.one_of(st.integers(-15, 15).map(lambda k: k / 10), st.sampled_from([1e308, -1e308])),
+    min_size=2, max_size=8,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@example(values=[1e308, 0.1, 0.1, -1e308, 0.3, 0.0, 1e308, 0.2], d=0.1, boundary="lt",
+         direction="symmetric")
+@example(values=[0.5, 0.5, -0.2, 0.5, 1.1, -0.2, 0.0, 0.7], d=0.0, boundary="lt",
+         direction="positive_only")
+@given(
+    values=ordering_values,
+    d=st.integers(0, 6).map(lambda k: k / 10),
+    boundary=st.sampled_from(BOUNDARIES),
+    direction=st.sampled_from(DIRECTIONS),
+)
+def test_exhaustive_null_is_the_enumeration(values, d, boundary, direction):
+    values = np.array(values)
+    rule = LrdRule(d=d, boundary=boundary, direction=direction)
+    want = pair_counts(np.array(list(itertools.permutations(values))), rule)[0]
+    got = _ordering_scores(values, rule)
+    # element for element, in itertools.permutations order, so the first is the observed S
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    result = permutation_test(Series.from_values(values), rule)
+    assert result.s_observed == want[0] and result.draws == len(want)
 
 
 class TestSampled:
