@@ -76,7 +76,8 @@ class Scenario:
     theta, error_sd, alpha_level and each d_ratios entry must be finite
     real numbers, and are stored as float (errors.real). n ** p and
     theta * n ** p must be finite, and so must 2 * (|theta| * n ** p +
-    64 * error_sd), so that no draw or difference of draws overflows.
+    64 * error_sd), so that no draw or difference of draws overflows,
+    and each cell's threshold d = d_ratio * error_sd.
     Anything else, or a value out of range, raises InputError.
     """
 
@@ -119,6 +120,10 @@ class Scenario:
         # every value and every difference of two values stays finite
         if not math.isfinite(2 * (peak + 64 * self.error_sd)):
             raise InputError(f"error_sd {self.error_sd!r} lets the draws overflow")
+        for ratio in ratios:  # the threshold that run_cell would build
+            if not math.isfinite(ratio * self.error_sd):
+                raise InputError(f"threshold d = d_ratio {ratio!r} * error_sd "
+                                 f"{self.error_sd!r} overflows")
         _check_length(self.n)  # here, so that a grid fails before any of its cells runs
 
     @property

@@ -506,6 +506,20 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert f"longer than the limit of {MAX_SERIES_N}" in err and err.count("\n") == 1
 
+    def test_overflowing_threshold_exits_2_before_any_cell(self, capsys, monkeypatch, tmp_path):
+        # the sd_base 1 cells ran before run_cell refused d = 1e300 * 1e300 = inf
+        def no_run(scenario, d_ratio):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr("lrdkendall.simulation.run_cell", no_run)
+        with open("configs/smoke_grid.json", encoding="utf-8") as fh:
+            config = json.load(fh)
+        path = tmp_path / "threshold.json"
+        path.write_text(json.dumps(dict(config, sd_bases=[1.0, 1e300], d_ratios=[1e300])))
+        assert main(["simulate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: threshold d = d_ratio 1e+300") and err.count("\n") == 1
+
     def test_unwritable_out_exits_2_before_any_cell(self, capsys, monkeypatch, tmp_path):
         # --out was opened after the whole grid ran, then ended in a traceback
         def no_run(scenarios):

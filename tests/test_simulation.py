@@ -114,6 +114,13 @@ class TestScenario:
                 make_scenario(theta=0.0, error_sd=error_sd)
         make_scenario(theta=0.0, error_sd=1e306)  # 64 sd of it is still finite
 
+    def test_overflowing_threshold_rejected(self):
+        # d = d_ratio * error_sd = inf used to pass until run_cell built its rule,
+        # after the grid's earlier cells had run
+        with pytest.raises(InputError, match=r"d_ratio 1e\+300 \* error_sd 1e\+300 overflows"):
+            make_scenario(error_sd=1e300, d_ratios=(0.0, 1e300))
+        assert make_scenario(error_sd=1e300, d_ratios=(1e7,)).d_ratios == (1e7,)
+
     def test_numpy_scalars_normalized(self):
         scenario = make_scenario(
             n=np.int64(20), p=np.int32(2), replicates=np.uint16(50), seed=np.int64(7),
