@@ -19,25 +19,36 @@ from lrdkendall import InputError, load_grid_config, run_grid, write_grid_csv
 from lrdkendall.cli import _open_out
 
 
-def blocked(grid):
-    """Regroup flat cells as blocks[(dist, n, sd_base)][ratio][trend]."""
+def blocked(keys):
+    """Regroup cell keys as blocks[(dist, n, sd_base)][ratio][trend].
+
+    Two keys that would land in one place, because their error_sds read
+    as the same scale, raise InputError before any cell runs, so no cell
+    is dropped.
+    """
     blocks = defaultdict(lambda: defaultdict(dict))
-    for key, cell in grid.items():
+    for key in keys:
         # by significant digits, so 3375 ** (1/3) groups with 15 and 1e-7 stays apart from 3e-7
         sd_base = float(f"{key.error_sd ** (1.0 / key.p):.12g}")
-        blocks[(key.distribution, key.n, sd_base)][key.d_ratio][(key.theta, key.p)] = cell
+        cells = blocks[(key.distribution, key.n, sd_base)][key.d_ratio]
+        held = cells.setdefault((key.theta, key.p), key)
+        if held != key:  # a repeated key is one cell, as in run_grid
+            raise InputError(
+                f"error_sd {held.error_sd!r} and {key.error_sd!r} both read as "
+                f"scale {sd_base:g}, so one block would hold two cells"
+            )
     return blocks
 
 
-def print_block(title, rows, trends, field):
+def print_block(title, rows, trends, grid, field):
     print(f"\n{title}")
     header = "  ratio " + "".join(f"  theta={t:g},p={p:g}" for t, p in trends)
     print(header)
     for ratio in sorted(rows):
-        cells = rows[ratio]
+        keys = rows[ratio]
         line = f"  {ratio:5.2f} "
         for trend in trends:
-            value = getattr(cells[trend], field)
+            value = getattr(grid[keys[trend]], field)
             line += f"  {value:12.3f}"
         print(line)
 
@@ -52,6 +63,7 @@ def main(argv=None):
 
     try:
         scenarios = load_grid_config(args.config, replicates=args.replicates, seed=args.seed)
+        blocks = blocked(s.key(r) for s in scenarios for r in s.d_ratios)
         with _open_out(args.out) as fh:
             start = time.time()
             grid = run_grid(scenarios)
@@ -62,13 +74,13 @@ def main(argv=None):
         return 2
     print(f"{len(grid)} cells in {time.time() - start:.1f} s")
 
-    blocks = blocked(grid)
     trends = sorted({trend for rows in blocks.values() for cells in rows.values() for trend in cells})
     for block_key in sorted(blocks):
         dist, n, sd_base = block_key
         label = f"{dist}, n={n}, scale={sd_base:g}"
-        print_block(f"rejection rate  ({label})", blocks[block_key], trends, "rejection_rate")
-        print_block(f"tie proportion  ({label})", blocks[block_key], trends, "mean_tie_proportion")
+        print_block(f"rejection rate  ({label})", blocks[block_key], trends, grid, "rejection_rate")
+        print_block(f"tie proportion  ({label})", blocks[block_key], trends, grid,
+                    "mean_tie_proportion")
 
     if args.out:
         print(f"\nwrote {args.out}")

@@ -47,6 +47,37 @@ class TestReproduceTables:
             f"rejection rate  (normal, n=20, scale={scale})" for scale in ("1e-07", "3e-07", "15")
         ]
 
+    def test_scales_that_read_alike_are_one_line_error_before_any_cell(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        # 1.0 and 1.0000000000001 agree to 12 digits: the script printed
+        # "2 cells in" and then one row, dropping a cell without a word
+        script = load_script("reproduce_tables")
+
+        def no_run(scenarios):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(script, "run_grid", no_run)
+        config = json.loads((REPO / "configs" / "smoke_grid.json").read_text())
+        path = tmp_path / "alike.json"
+        path.write_text(json.dumps(dict(
+            config, sd_bases=[1.0, 1.0000000000001], trends=[{"theta": 0.0, "p": 1}],
+            d_ratios=[0.0],
+        )))
+        assert script.main([str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: error_sd 1.0 and 1.0000000000001 both read as "
+                                "scale 1, so one block would hold two cells\n")
+
+    def test_repeated_scale_is_one_cell(self, capsys, tmp_path):
+        config = json.loads((REPO / "configs" / "smoke_grid.json").read_text())
+        path = tmp_path / "repeated.json"
+        path.write_text(json.dumps(dict(config, sd_bases=[15.0, 15.0], replicates=20)))
+        script = load_script("reproduce_tables")
+        assert script.main([str(path)]) == 0
+        assert capsys.readouterr().out.startswith("4 cells in ")
+
     def test_unwritable_out_is_one_line_error_before_any_cell(self, capsys, monkeypatch, tmp_path):
         # --out was opened after the whole grid ran, then ended in a traceback
         script = load_script("reproduce_tables")
