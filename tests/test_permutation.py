@@ -74,7 +74,7 @@ class TestExhaustive:
         assert (result.exceed_count, result.p, result.null_mean.hex(), result.null_sd.hex()) == pin
 
     def test_memory_bound(self):
-        # the n!-row enumeration peaked at 17.8 MB here, prefix expansion at 3.4 MB
+        # the n!-row enumeration peaked at 17.8 MB on this call, prefix expansion at 3.4 MB
         series = Series.from_values([95.2, 98.6, 95.8, 100.7, 94.9, 92.8, 101.5, 99.0])
         permutation_test(series, LrdRule(d=0.6))  # warm numpy's first-call caches
         tracemalloc.start()
