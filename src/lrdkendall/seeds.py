@@ -15,8 +15,10 @@ regardless of scheduling or what ran first. Every chunk but the last
 holds max(1, min(cap, CHUNK_CELLS // row_cells)) rows, where row_cells
 is what one replicate costs its caller:
 
-* simulation.run_cell: n * n cells, at most 2500 rows, key
-  ``("sim", *cell key)``;
+* simulation's grid: n * n cells, at most 2500 rows, key
+  ``("sim", distribution, n, error_sd, theta, p)``, the scenario's cell
+  key without its d_ratio, so every threshold of a scenario is scored on
+  the same draws (run_cell and run_grid give equal cells);
 * permutation's sampled draws: n * (n - 1) cells, at most 4096 rows,
   key ``("perm",)`` for one series and ``("regional", label)`` for
   each group of a panel.

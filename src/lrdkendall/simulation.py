@@ -4,12 +4,14 @@ Data-generating model: Y_i = theta * i^p + error, i = 1..n, with iid
 errors from a normal or uniform density of a given standard deviation.
 Thresholds are specified as ratios of that standard deviation, so cells
 are comparable across error scales. Each (distribution, n, error_sd,
-theta, p, d_ratio) cell gets its own deterministic random stream under
-the seeding contract, which the seeds module docstring states with this
-module's row cost and cap; results are therefore reproducible
-cell by cell and independent of execution order and of which other
-cells run. Replicates are scored by inference.score_rows, the
-statistic that run_test reports.
+theta, p) scenario gets its own deterministic random stream under the
+seeding contract, which the seeds module docstring states with this
+module's row cost and cap. Its replicates are drawn once and scored at
+every d_ratio, so the thresholds of a scenario are compared on common
+random numbers. A cell's result is therefore reproducible, and
+independent of execution order, of which other cells run and of which
+other thresholds its scenario lists. Replicates are scored by
+inference.score_rows, the statistic that run_test reports.
 
 Design notes, fixed on purpose:
 
@@ -120,7 +122,7 @@ class Scenario:
         # every value and every difference of two values stays finite
         if not math.isfinite(2 * (peak + 64 * self.error_sd)):
             raise InputError(f"error_sd {self.error_sd!r} lets the draws overflow")
-        for ratio in ratios:  # the threshold that run_cell would build
+        for ratio in ratios:  # the threshold that each cell's rule is built from
             if not math.isfinite(ratio * self.error_sd):
                 raise InputError(f"threshold d = d_ratio {ratio!r} * error_sd "
                                  f"{self.error_sd!r} overflows")
@@ -134,7 +136,8 @@ class Scenario:
     def key(self, d_ratio: float) -> CellKey:
         """The identity of this scenario's cell at threshold d_ratio."""
         return CellKey(
-            self.distribution, self.n, self.error_sd, self.theta, self.p, float(d_ratio)
+            self.distribution, self.n, self.error_sd, self.theta, self.p,
+            real(d_ratio, "d_ratio"),
         )
 
 
@@ -176,41 +179,66 @@ def _simulate_chunk(rng, scenario: Scenario, m: int) -> np.ndarray:
     return signal + noise
 
 
+def _run_cells(scenario: Scenario, d_ratios) -> list[tuple[CellKey, CellResult]]:
+    """Simulate the scenario's cell at each of d_ratios: (key, result) pairs in order.
+
+    The replicates are drawn once, in the chunks of the stream keyed
+    ("sim", distribution, n, error_sd, theta, p), and each chunk is
+    scored at every threshold. Each cell keeps its own counts, so its
+    result does not depend on the other entries of d_ratios.
+    """
+    keys = [scenario.key(r) for r in d_ratios]
+    # LrdRule refuses a negative or non-finite d
+    rules = [LrdRule(d=key.d_ratio * scenario.error_sd) for key in keys]
+    if not rules:
+        return []
+    z_crit = critical_value(scenario.alpha_level)
+
+    rejections = [0] * len(rules)
+    tie_totals = [0.0] * len(rules)
+    n = scenario.n
+    stream = ("sim", scenario.distribution, n, scenario.error_sd, scenario.theta, scenario.p)
+    for rng, m in chunks(scenario.seed, stream, scenario.replicates, n * n, 2500):
+        rows = _simulate_chunk(rng, scenario, m)
+        for j, rule in enumerate(rules):
+            _, scoring, _, z = score_rows(rows, rule)
+            rejections[j] += int(np.count_nonzero(np.abs(z) >= z_crit))
+            tie_totals[j] += float(tie_fraction(scoring, n).sum())
+
+    cells = []
+    for key, count, ties in zip(keys, rejections, tie_totals):
+        rate = count / scenario.replicates
+        cells.append((key, CellResult(
+            rejection_rate=rate,
+            mean_tie_proportion=ties / scenario.replicates,
+            mc_stderr=math.sqrt(rate * (1.0 - rate) / scenario.replicates),
+            replicates_used=scenario.replicates,
+        )))
+    return cells
+
+
 def run_cell(scenario: Scenario, d_ratio: float) -> CellResult:
     """Simulate one cell: rejection rate and mean tie proportion.
 
-    Deterministic in (scenario.seed, cell key): the replicates are drawn
-    in the chunks of the stream keyed ("sim", *cell key).
+    The one-threshold case of the grid: the scenario's replicates are
+    drawn from the stream keyed ("sim", distribution, n, error_sd, theta,
+    p) and scored at d = d_ratio * error_sd, so the result equals the
+    grid's cell at d_ratio. d_ratio must be a finite number >= 0 (not a
+    bool); anything else raises InputError.
     """
-    key = scenario.key(d_ratio)
-    rule = LrdRule(d=key.d_ratio * scenario.error_sd)  # refuses a negative or non-finite d
-    z_crit = critical_value(scenario.alpha_level)
-
-    rejections = 0
-    tie_total = 0.0
-    n = scenario.n
-    for rng, m in chunks(scenario.seed, ("sim", *key), scenario.replicates, n * n, 2500):
-        _, scoring, _, z = score_rows(_simulate_chunk(rng, scenario, m), rule)
-        rejections += int(np.count_nonzero(np.abs(z) >= z_crit))
-        tie_total += float(tie_fraction(scoring, n).sum())
-
-    rate = rejections / scenario.replicates
-    return CellResult(
-        rejection_rate=rate,
-        mean_tie_proportion=tie_total / scenario.replicates,
-        mc_stderr=math.sqrt(rate * (1.0 - rate) / scenario.replicates),
-        replicates_used=scenario.replicates,
-    )
+    return _run_cells(scenario, (d_ratio,))[0][1]
 
 
 def run_grid(scenarios) -> dict[CellKey, CellResult]:
     """Run every (scenario, d_ratio) cell in order; the dict keeps that order.
 
-    The cells run one at a time in the calling thread. Each draws only
-    from its own streams (seeds.py), so a cell's result does not depend
-    on which other cells run or in what order.
+    The scenarios run one at a time in the calling thread. Each draws its
+    replicates once and scores them at all of its d_ratios (common random
+    numbers across thresholds). A scenario draws only from its own
+    streams (seeds.py), so a cell's result does not depend on which other
+    cells run or in what order.
     """
-    return {s.key(r): run_cell(s, r) for s in scenarios for r in s.d_ratios}
+    return {key: cell for s in scenarios for key, cell in _run_cells(s, s.d_ratios)}
 
 
 def expected_null_tie_proportion(distribution: str, d_ratio: float) -> float:

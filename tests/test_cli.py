@@ -508,10 +508,10 @@ class TestSimulateCommand:
 
     def test_overflowing_threshold_exits_2_before_any_cell(self, capsys, monkeypatch, tmp_path):
         # the sd_base 1 cells ran before run_cell refused d = 1e300 * 1e300 = inf
-        def no_run(scenario, d_ratio):
+        def no_run(scenarios):
             raise AssertionError("a cell ran")
 
-        monkeypatch.setattr("lrdkendall.simulation.run_cell", no_run)
+        monkeypatch.setattr("lrdkendall.cli.run_grid", no_run)
         with open("configs/smoke_grid.json", encoding="utf-8") as fh:
             config = json.load(fh)
         path = tmp_path / "threshold.json"

@@ -176,6 +176,12 @@ class TestRunCell:
         rate = cell.rejection_rate
         assert cell.mc_stderr == pytest.approx(math.sqrt(rate * (1 - rate) / 2000))
 
+    # each used to end in a bare ValueError or TypeError, or (True) to run as 1.0
+    @pytest.mark.parametrize("d_ratio", ["x", [1], True], ids=repr)
+    def test_non_number_threshold_rejected(self, d_ratio):
+        with pytest.raises(InputError, match="d_ratio must be a finite number"):
+            run_cell(make_scenario(replicates=10), d_ratio)
+
 
 class TestExpectedNullTies:
     def test_normal_closed_form(self):
@@ -220,7 +226,7 @@ class TestRunGrid:
             (key.theta, key.d_ratio): round(cell.rejection_rate * cell.replicates_used)
             for key, cell in grid.items()
         }
-        assert counts == {(0.0, 0.0): 87, (0.0, 1.0): 71, (1.0, 0.0): 655, (1.0, 1.0): 665}
+        assert counts == {(0.0, 0.0): 76, (0.0, 1.0): 81, (1.0, 0.0): 655, (1.0, 1.0): 680}
 
     def test_rejection_count_pinned_where_the_budget_sets_the_chunks(self):
         # at n = 60 the cell budget, not the row cap, sizes the chunks:
@@ -230,7 +236,25 @@ class TestRunGrid:
         cell = run_cell(scenario, 1.0)
         rejections = round(cell.rejection_rate * cell.replicates_used)
         ties = round(cell.mean_tie_proportion * cell.replicates_used * 60 * 59 / 2)
-        assert (rejections, ties) == (1502, 2688512)
+        assert (rejections, ties) == (1472, 2683518)
+
+    def test_cell_ignores_the_scenarios_other_thresholds(self):
+        # a cell's counts are its own, though its scenario's draws are shared
+        cells = [
+            run_grid([make_scenario(d_ratios=ratios, replicates=500)])
+            for ratios in ((0.0, 1.0), (1.0,), (1.0, 0.0))
+        ]
+        at_one = [grid[make_scenario().key(1.0)] for grid in cells]
+        assert at_one[0] == at_one[1] == at_one[2]
+
+    def test_thresholds_share_the_scenarios_draws(self):
+        # d = 1e-8 ties no pair of continuous draws with sd 10, so on common
+        # random numbers both cells reject the same replicates; each cell
+        # used to draw its own replicates, and the counts differed
+        grid = run_grid([make_scenario(d_ratios=(0.0, 1e-9))])
+        zero, tiny = grid.values()
+        assert tiny.mean_tie_proportion == 0.0
+        assert round(zero.rejection_rate * 2000) == round(tiny.rejection_rate * 2000)
 
 
 class TestGridConfig:
