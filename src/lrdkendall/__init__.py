@@ -62,7 +62,6 @@ from .regional import (
     regional_test,
 )
 from .report import (
-    read_grid_csv,
     render_json,
     render_text,
     to_payload,
@@ -73,7 +72,6 @@ from .simulation import (
     CellResult,
     Scenario,
     density_for,
-    expected_null_tie_proportion,
     load_grid_config,
     run_cell,
     run_grid,
@@ -116,7 +114,6 @@ __all__ = [
     "asymptotic_drift",
     "density_for",
     "diff_density",
-    "expected_null_tie_proportion",
     "load_grid_config",
     "moment_estimates",
     "moments",
@@ -126,7 +123,6 @@ __all__ = [
     "platelet_donations",
     "power_curve",
     "power_gain_condition",
-    "read_grid_csv",
     "read_input_file",
     "read_input_table",
     "regional_permutation_test",

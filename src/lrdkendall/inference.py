@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import LrdRule, Series, _symmetric_only, pair_counts, tie_fraction
 from .errors import InputError, extended_real, real, real_array
-from .variance import var_classical, var_extended_hat, tie_groups
+from .variance import _check_n, var_classical, var_extended_hat, tie_groups
 
 # ── defaults ────────────────────────────────────────────────────────────
 
@@ -102,14 +102,17 @@ def tau_extended(s_ex: int, scoring: int, n: int) -> tuple[float, float | None]:
     geometric mean of the unthresholded pair count and the count of
     pairs the threshold leaves active, mirroring the tie-corrected
     denominator of the classical coefficient. ``scoring`` counts the
-    pairs that score +/-1.
+    pairs that score +/-1. n must be an integer >= 2 whose pair count
+    fits a float, else InputError.
 
     Returns:
         (tau_a, tau_b); tau_b is None when no pair clears the threshold.
     """
-    if n < 2:
-        raise InputError(f"need n >= 2, got {n}")
-    pairs = n * (n - 1) / 2.0
+    n = _check_n(n)
+    try:
+        pairs = n * (n - 1) / 2.0
+    except OverflowError:
+        raise InputError("n is too large: the pair count overflows a float") from None
     tau_a = s_ex / pairs
     if scoring == 0:
         return tau_a, None

@@ -317,7 +317,7 @@ def power_curve(
     slope : float
         Local trend coefficient; 0 gives power = alpha_level everywhere.
     d_grid : sequence of float
-        Thresholds, each >= 0.
+        Thresholds, at least one, each a finite number >= 0.
     alpha_level : float
         Two-sided size of the test, in (0, 1).
 
@@ -328,9 +328,14 @@ def power_curve(
     """
     slope = real(slope, "slope")
     crit = critical_value(alpha_level)
+    try:
+        grid = [real(d, "d_grid entry") for d in d_grid]
+    except TypeError:
+        raise InputError(f"d_grid must be a sequence of thresholds, got {d_grid!r}") from None
+    if not grid:
+        raise InputError("d_grid must hold at least one threshold")
     points = []
-    for d in np.asarray(d_grid, dtype=float):
-        d = float(d)
+    for d in grid:
         g_d = diff_density(density, d)
         m = moments(density, d)
         try:

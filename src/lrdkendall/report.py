@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import asdict, fields
-from typing import get_type_hints
 
 from .inference import TrendTestResult
 from .permutation import PermutationResult
@@ -172,12 +171,3 @@ def write_grid_csv(results: dict[CellKey, CellResult], fh) -> None:
         writer.writerow([repr(row[c]) if isinstance(row[c], float) else row[c]
                          for c in GRID_CSV_COLUMNS])
 
-
-def read_grid_csv(fh) -> dict[CellKey, CellResult]:
-    """Parse write_grid_csv output back into keyed results."""
-    key_types, cell_types = get_type_hints(CellKey), get_type_hints(CellResult)
-    results = {}
-    for row in csv.DictReader(fh):
-        key = CellKey(**{name: kind(row[name]) for name, kind in key_types.items()})
-        results[key] = CellResult(**{name: kind(row[name]) for name, kind in cell_types.items()})
-    return results

@@ -40,7 +40,7 @@ import numpy as np
 from .core import LrdRule, _check_length, tie_fraction
 from .errors import InputError, integral, real
 from .inference import critical_value, score_rows
-from .power import ErrorDensity, moments
+from .power import ErrorDensity
 from .seeds import check_replicates, chunks
 
 
@@ -76,10 +76,10 @@ class Scenario:
     (errors.integral). n runs from 3 to core.MAX_SERIES_N, and replicates
     from 1 to seeds.MAX_REPLICATES.
     theta, error_sd, alpha_level and each d_ratios entry must be finite
-    real numbers, and are stored as float (errors.real). n ** p and
-    theta * n ** p must be finite, and so must 2 * (|theta| * n ** p +
-    64 * error_sd), so that no draw or difference of draws overflows,
-    and each cell's threshold d = d_ratio * error_sd.
+    real numbers, and are stored as float (errors.real); d_ratios is not
+    empty. n ** p and theta * n ** p must be finite, and so must
+    2 * (|theta| * n ** p + 64 * error_sd), so that no draw or difference
+    of draws overflows, and each cell's threshold d = d_ratio * error_sd.
     Anything else, or a value out of range, raises InputError.
     """
 
@@ -108,8 +108,8 @@ class Scenario:
             raise InputError(f"trend power p must be >= 1, got {self.p}")
         if self.n < 3:
             raise InputError(f"need n >= 3, got {self.n}")
-        if any(r < 0 for r in ratios):
-            raise InputError(f"d_ratios must be >= 0, got {ratios!r}")
+        if not ratios or any(r < 0 for r in ratios):
+            raise InputError(f"d_ratios must be non-empty and >= 0, got {ratios!r}")
         try:  # an inf signal makes NaN deltas, which would count as ties
             peak = abs(self.theta) * float(self.n) ** self.p
         except OverflowError:
@@ -142,7 +142,7 @@ class Scenario:
 
 
 class CellKey(NamedTuple):
-    """Identity of one simulation cell; doubles as its RNG key material."""
+    """Identity of one simulation cell; its stream is keyed without d_ratio (_run_cells)."""
 
     distribution: str
     n: int
@@ -190,8 +190,6 @@ def _run_cells(scenario: Scenario, d_ratios) -> list[tuple[CellKey, CellResult]]
     keys = [scenario.key(r) for r in d_ratios]
     # LrdRule refuses a negative or non-finite d
     rules = [LrdRule(d=key.d_ratio * scenario.error_sd) for key in keys]
-    if not rules:
-        return []
     z_crit = critical_value(scenario.alpha_level)
 
     rejections = [0] * len(rules)
@@ -239,17 +237,6 @@ def run_grid(scenarios) -> dict[CellKey, CellResult]:
     cells run or in what order.
     """
     return {key: cell for s in scenarios for key, cell in _run_cells(s, s.d_ratios)}
-
-
-def expected_null_tie_proportion(distribution: str, d_ratio: float) -> float:
-    """Closed-form mean tie proportion under no trend, P(|X1 - X2| <= d).
-
-    Depends only on the threshold-to-sd ratio, so it is
-    1 - 2 * moments(density_for(distribution, 1.0), d_ratio).above_one,
-    with above_one = P(X1 - X2 > d) from power.moments. An independent
-    oracle for the simulation pipeline's null column.
-    """
-    return 1.0 - 2.0 * moments(density_for(distribution, 1.0), d_ratio).above_one
 
 
 # ── declarative grid configs ────────────────────────────────────────────

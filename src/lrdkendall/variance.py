@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, InvalidMoments
+from .errors import InputError, InvalidMoments, integral
 
 #: rounding in computed moments (the Gauss-Legendre orthant sum for normal
 #: errors, trapezoid sums for tabulated densities) can cross a range bound
@@ -38,6 +38,14 @@ def tie_groups(values) -> tuple[int, ...]:
     return tuple(sorted(int(c) for c in counts if c > 1))
 
 
+def _check_n(n) -> int:
+    """The number of observations as an int >= 2 (errors.integral), else InputError."""
+    n = integral(n, "n")
+    if n < 2:
+        raise InputError(f"need n >= 2, got {n}")
+    return n
+
+
 def var_classical(n: int, ties: tuple[int, ...] = ()) -> float:
     """Tie-corrected null variance of the classical score.
 
@@ -45,11 +53,14 @@ def var_classical(n: int, ties: tuple[int, ...] = ()) -> float:
     extents w_i.
 
     Args:
-        n: Number of observations, at least 2.
-        ties: Extents of exactly-tied groups (each >= 2, summing to <= n).
+        n: Number of observations, an integer >= 2.
+        ties: Extents of exactly-tied groups (integers >= 2, summing to <= n).
     """
-    if n < 2:
-        raise InputError(f"need n >= 2, got {n}")
+    n = _check_n(n)
+    try:
+        ties = [integral(w, "tie extent") for w in ties]
+    except TypeError:
+        raise InputError(f"ties must be a sequence of tie extents, got {ties!r}") from None
     total = 0
     for w in ties:
         if w < 2 or w > n:
@@ -59,7 +70,10 @@ def var_classical(n: int, ties: tuple[int, ...] = ()) -> float:
             raise InputError(f"tie extents sum to {total} > n={n}")
     base = n * (n - 1) * (2 * n + 5)
     corr = sum(w * (w - 1) * (2 * w + 5) for w in ties)
-    return (base - corr) / 18.0
+    try:
+        return (base - corr) / 18.0
+    except OverflowError:
+        raise InputError("n is too large: the variance overflows a float") from None
 
 
 def var_extended_hat(u, v):
@@ -138,7 +152,10 @@ def validate_moments(m: MomentSet) -> None:
 
 def _var_formula(m: MomentSet, n: int) -> float:
     # n(n-1)(n-2)/3 multiplies the triple-overlap part, n(n-1) the pair part
-    cubic = (n**3) / 3.0 - n**2 + 2.0 * n / 3.0
+    try:
+        cubic = (n**3) / 3.0 - n**2 + 2.0 * n / 3.0
+    except OverflowError:
+        raise InputError("n is too large: the variance overflows a float") from None
     pair = m.below_two + m.above_two - 2.0 * m.above_below
     return cubic * pair + (n**2 - n) * m.above_one
 
@@ -153,8 +170,7 @@ def var_theoretical(m: MomentSet, n: int) -> float:
     closed-form moments. For plug-in estimates see
     :func:`var_extended_from_moments`.
     """
-    if n < 2:
-        raise InputError(f"need n >= 2, got {n}")
+    n = _check_n(n)
     validate_moments(m)
     return _var_formula(m, n)
 
@@ -171,6 +187,8 @@ def moment_estimates(u, v) -> MomentSet:
     """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
+    if u.ndim != 1 or u.shape != v.shape:
+        raise InputError("u and v must be 1-d arrays of equal length")
     n = len(u)
     if n < 3:
         raise InputError("moment estimates need n >= 3")
@@ -191,6 +209,4 @@ def var_extended_from_moments(m: MomentSet, n: int) -> float:
     ``var_extended_hat(u, v)`` exactly: expanding sum((u-v)^2) shows the
     two forms are the same polynomial in the counts.
     """
-    if n < 2:
-        raise InputError(f"need n >= 2, got {n}")
-    return _var_formula(m, n)
+    return _var_formula(m, _check_n(n))

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, format parity, reproducibility."""
 
+import csv
 import json
 import math
 import os
@@ -11,9 +12,9 @@ import pytest
 import lrdkendall
 from lrdkendall.cli import main
 from lrdkendall.core import MAX_SERIES_N
-from lrdkendall.report import grid_rows, read_grid_csv
 
 from test_core import too_long
+from test_report import csv_cells
 
 FIXTURE = "src/lrdkendall/data/platelets_2001_2005.csv"
 
@@ -539,7 +540,7 @@ class TestSimulateCommand:
         payload = json.loads(raw)
         assert payload["kind"] == "simulation_grid"
         with open(out, encoding="utf-8", newline="") as fh:
-            assert payload["cells"] == grid_rows(read_grid_csv(fh))
+            assert list(csv.DictReader(fh)) == csv_cells(payload["cells"])
 
 
 class TestExitCodes:
@@ -557,7 +558,32 @@ class TestExitCodes:
         assert code in (2, 3)  # rejected before any curve is computed
 
 
+#: the package's public names; a name added or removed is a reviewed change here
+PUBLIC_NAMES = [
+    "AnalyticUnavailable", "CellKey", "CellResult", "DegenerateRegime", "ErrorDensity",
+    "GainCondition", "InputError", "InsufficientData", "InvalidMoments", "LrdKendallError",
+    "LrdPolicy", "LrdRule", "MomentSet", "NoUsableData", "PermutationResult", "PowerPoint",
+    "RegionalDataset", "RegionalResult", "Scenario", "Series", "TrendTestResult",
+    "asymptotic_drift", "density_for", "diff_density", "load_grid_config",
+    "moment_estimates", "moments", "p_value", "pair_score", "permutation_test",
+    "platelet_donations", "power_curve", "power_gain_condition", "read_input_file",
+    "read_input_table", "regional_permutation_test", "regional_test", "render_json",
+    "render_text", "run_cell", "run_grid", "run_test", "s_extended", "tau_extended",
+    "tie_groups", "tie_proportion", "to_payload", "uv_counts", "validate_moments",
+    "var_classical", "var_extended_from_moments", "var_extended_hat", "var_theoretical",
+    "write_grid_csv", "z_score",
+]
+
+
 class TestImportPath:
+    def test_public_surface_is_pinned(self):
+        assert PUBLIC_NAMES == sorted(set(PUBLIC_NAMES)) and len(PUBLIC_NAMES) == 55
+        assert sorted(lrdkendall.__all__) == PUBLIC_NAMES  # so __all__ repeats no name
+        namespace = {}
+        exec("from lrdkendall import *", namespace)
+        for name in PUBLIC_NAMES:
+            assert namespace[name] is getattr(lrdkendall, name)
+
     def test_subcommands_run_without_scipy(self, series_path):
         # the runtime needs numpy alone; scipy stays a test-only oracle, and
         # numpy.ma (about 10 ms to import), concurrent.futures and logging

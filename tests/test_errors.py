@@ -10,6 +10,7 @@ from lrdkendall import (
     InputError,
     LrdPolicy,
     LrdRule,
+    MomentSet,
     Series,
     asymptotic_drift,
     density_for,
@@ -21,6 +22,10 @@ from lrdkendall import (
     regional_test,
     render_json,
     run_test,
+    tau_extended,
+    var_classical,
+    var_extended_from_moments,
+    var_theoretical,
 )
 from lrdkendall.errors import real
 from lrdkendall.inference import critical_value, p_value, z_score
@@ -43,6 +48,7 @@ ROUTED = [
     ("slope", lambda x: power_curve(NORMAL, x, [0.0, 0.5])),
     ("alpha_level", lambda x: critical_value(x)),
     ("error_sd", lambda x: density_for("normal", x)),
+    ("d_grid entry", lambda x: power_curve(NORMAL, 1.0, [x])),
 ]
 NOT_NUMBERS = ["0.5", None, True, [0.5], math.nan, math.inf]
 
@@ -54,6 +60,68 @@ NOT_NUMBERS = ["0.5", None, True, [0.5], math.nan, math.inf]
 def test_routed_argument_refuses_what_is_not_a_finite_number(name, entry, bad):
     with pytest.raises(InputError, match=f"^{name} must be a finite number"):
         entry(bad)
+
+
+def test_power_grid_must_be_a_sequence_of_thresholds():
+    # [] used to return (), which neither render_text nor render_json could
+    # report, and a bare number ended in a TypeError
+    with pytest.raises(InputError, match="^d_grid must hold at least one threshold"):
+        power_curve(NORMAL, 1.0, [])
+    for grid in (0.5, None):
+        with pytest.raises(InputError, match="^d_grid must be a sequence of thresholds"):
+            power_curve(NORMAL, 1.0, grid)
+
+
+#: the d = 0 moments of any continuous error density
+NULL_MOMENTS = MomentSet(1 / 3, 1 / 3, 1 / 6, 1 / 2)
+
+# (name in the error, entry point taking the value); every count passes
+# errors.integral
+COUNTED = [
+    ("n", lambda x: var_classical(x)),
+    ("tie extent", lambda x: var_classical(5, (x,))),
+    ("n", lambda x: var_theoretical(NULL_MOMENTS, x)),
+    ("n", lambda x: var_extended_from_moments(NULL_MOMENTS, x)),
+    ("n", lambda x: tau_extended(1, 1, x)),
+]
+NOT_COUNTS = ["5", None, True, np.True_, [5], 2.5, 3.5, math.nan, math.inf]
+
+
+@pytest.mark.parametrize("bad", NOT_COUNTS, ids=repr)
+@pytest.mark.parametrize(
+    "name, entry", COUNTED, ids=[f"{i}-{name}" for i, (name, _) in enumerate(COUNTED)]
+)
+def test_counted_argument_refuses_what_is_not_an_integer(name, entry, bad):
+    # 3.5 and 2.5 used to give a number, and "5" a bare TypeError
+    with pytest.raises(InputError, match=f"^{name} must be an integer"):
+        entry(bad)
+
+
+@pytest.mark.parametrize("n", [10**400, 10**5000], ids=["1e400", "1e5000"])
+@pytest.mark.parametrize("entry", [
+    lambda n: var_classical(n),
+    lambda n: var_theoretical(NULL_MOMENTS, n),
+    lambda n: var_extended_from_moments(NULL_MOMENTS, n),
+    lambda n: tau_extended(0, 0, n),
+], ids=["var_classical", "var_theoretical", "var_extended_from_moments", "tau_extended"])
+def test_count_whose_formula_overflows_is_refused(entry, n):
+    # each used to end in a bare OverflowError; the message leaves out n,
+    # whose digits can pass the limit of int-to-str conversion
+    with pytest.raises(InputError, match="^n is too large: the .* overflows a float"):
+        entry(n)
+
+
+def test_counted_arguments_keep_what_is_valid():
+    # a numpy n used to wrap around in int64: var_classical(np.int64(10**7))
+    # gave 4.3e17 in place of 1.1e20
+    n = 10**7
+    assert var_classical(np.int64(n)) == var_classical(n) == var_classical(float(n))
+    assert var_theoretical(NULL_MOMENTS, np.int64(n)) == var_theoretical(NULL_MOMENTS, n)
+    assert tau_extended(5, 5, np.int64(n)) == tau_extended(5, 5, n)
+    assert var_classical(5, (np.int64(2), 3.0)) == var_classical(5, (2, 3))
+    assert var_classical(10**100) > 0  # large, but still inside the float range
+    with pytest.raises(InputError, match="^ties must be a sequence of tie extents"):
+        var_classical(5, 2)
 
 
 # arguments wider than a finite scalar, with the NOT_NUMBERS that apply: z

@@ -12,7 +12,6 @@ from lrdkendall import (
     InputError,
     Scenario,
     density_for,
-    expected_null_tie_proportion,
     load_grid_config,
     run_cell,
     run_grid,
@@ -121,6 +120,12 @@ class TestScenario:
             make_scenario(error_sd=1e300, d_ratios=(0.0, 1e300))
         assert make_scenario(error_sd=1e300, d_ratios=(1e7,)).d_ratios == (1e7,)
 
+    def test_empty_thresholds_rejected(self):
+        # a scenario without d_ratios used to be built, and run_grid gave it no cell
+        for empty in ((), [], np.array([])):
+            with pytest.raises(InputError, match="d_ratios must be non-empty"):
+                make_scenario(d_ratios=empty)
+
     def test_numpy_scalars_normalized(self):
         scenario = make_scenario(
             n=np.int64(20), p=np.int32(2), replicates=np.uint16(50), seed=np.int64(7),
@@ -159,12 +164,17 @@ class TestRunCell:
         assert cell.mean_tie_proportion == 0.0
 
     def test_null_tie_fraction_matches_closed_form(self):
-        for distribution in ("normal", "uniform"):
+        # P(|X1 - X2| <= r sd): the normal difference has sd sqrt(2) sd, and
+        # the uniform one is triangular on +/- the support width 2 sqrt(3) sd
+        closed_forms = {
+            "normal": lambda r: math.erf(r / 2),
+            "uniform": lambda r: 1 - (1 - r / (2 * math.sqrt(3))) ** 2,
+        }
+        for distribution, closed_form in closed_forms.items():
             scenario = make_scenario(distribution=distribution, replicates=3000)
             for ratio in (0.5, 1.5):
                 cell = run_cell(scenario, ratio)
-                want = expected_null_tie_proportion(distribution, ratio)
-                assert cell.mean_tie_proportion == pytest.approx(want, abs=0.01)
+                assert cell.mean_tie_proportion == pytest.approx(closed_form(ratio), abs=0.01)
 
     def test_trend_raises_power(self):
         null = run_cell(make_scenario(replicates=3000), 0.0)
@@ -181,21 +191,6 @@ class TestRunCell:
     def test_non_number_threshold_rejected(self, d_ratio):
         with pytest.raises(InputError, match="d_ratio must be a finite number"):
             run_cell(make_scenario(replicates=10), d_ratio)
-
-
-class TestExpectedNullTies:
-    def test_normal_closed_form(self):
-        # d = r * sd on a difference with sd sqrt(2): 2*Phi(r/sqrt(2)) - 1
-        assert expected_null_tie_proportion("normal", 1.0) == pytest.approx(0.5205, abs=5e-5)
-        assert expected_null_tie_proportion("normal", 2.0) == pytest.approx(0.8427, abs=5e-5)
-
-    def test_uniform_closed_form(self):
-        # 1 - (1 - r/(2*sqrt(3)))^2 while the ratio stays inside the support
-        assert expected_null_tie_proportion("uniform", 1.0) == pytest.approx(0.4940, abs=5e-5)
-        assert expected_null_tie_proportion("uniform", 2.0) == pytest.approx(1 - (1 - 1 / math.sqrt(3)) ** 2)
-
-    def test_zero_ratio(self):
-        assert expected_null_tie_proportion("normal", 0.0) == 0.0
 
 
 class TestRunGrid:

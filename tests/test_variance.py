@@ -146,6 +146,13 @@ class TestMomentEstimates:
         with pytest.raises(InputError):
             moment_estimates(np.array([0, 1]), np.array([1, 0]))
 
+    def test_mismatched_counts_rejected(self):
+        # unequal lengths used to end in a bare numpy ValueError, and (m, n)
+        # counts gave one moment set pooled over every row
+        for u, v in (([1, 2, 3], [1, 2]), (np.ones((3, 4)), np.ones((3, 4))), (3, 3)):
+            with pytest.raises(InputError, match="^u and v must be 1-d arrays of equal length"):
+                moment_estimates(u, v)
+
     def test_tie_free_values(self):
         u = np.array([0, 1, 2, 3])
         v = np.array([3, 2, 1, 0])
