@@ -83,9 +83,16 @@ def real_array(value, name: str) -> np.ndarray:
 
 
 def integral(value, name: str) -> int:
-    """An int, numpy integer or integral float (2.0) as an int; a bool is not one."""
-    if isinstance(value, (float, np.floating)) and float(value).is_integer():
-        return int(value)
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+    """An int, numpy integer or integral float (2.0) as an int; a bool is not one.
+
+    Its magnitude must fit in 64 bits, which keeps every closed form in n
+    inside the float range.
+    """
+    if isinstance(value, (float, np.floating)) and float(value).is_integer() or (
+        isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    ):
+        bits = abs(int(value)).bit_length()
+        if bits > 64:
+            raise InputError(f"{name} must be an integer of at most 64 bits, got {bits} bits")
         return int(value)
     raise InputError(f"{name} must be an integer, got {value!r}")

@@ -102,17 +102,14 @@ def tau_extended(s_ex: int, scoring: int, n: int) -> tuple[float, float | None]:
     geometric mean of the unthresholded pair count and the count of
     pairs the threshold leaves active, mirroring the tie-corrected
     denominator of the classical coefficient. ``scoring`` counts the
-    pairs that score +/-1. n must be an integer >= 2 whose pair count
-    fits a float, else InputError.
+    pairs that score +/-1. n must be an integer >= 2 (errors.integral),
+    else InputError.
 
     Returns:
         (tau_a, tau_b); tau_b is None when no pair clears the threshold.
     """
     n = _check_n(n)
-    try:
-        pairs = n * (n - 1) / 2.0
-    except OverflowError:
-        raise InputError("n is too large: the pair count overflows a float") from None
+    pairs = n * (n - 1) / 2.0
     tau_a = s_ex / pairs
     if scoring == 0:
         return tau_a, None
