@@ -45,6 +45,17 @@ class DegenerateRegime(LrdKendallError):
     """All comparisons are ties in distribution; the test statistic is degenerate."""
 
 
+def _shown(value) -> str:
+    """repr(value), or a short description where repr refuses: an int past
+    the int-to-str digit limit, or a container holding one."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, int):
+            return f"an int of {abs(value).bit_length()} bits"
+        return f"a {type(value).__name__} too long to print"
+
+
 def _as_float(value) -> float:
     """An int, float or numpy number as a float, else NaN; a bool is not one."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
@@ -59,7 +70,7 @@ def real(value, name: str) -> float:
     """A finite int, float or numpy number as a float; a bool is not one."""
     x = _as_float(value)
     if not math.isfinite(x):
-        raise InputError(f"{name} must be a finite number, got {value!r}")
+        raise InputError(f"{name} must be a finite number, got {_shown(value)}")
     return x
 
 
@@ -67,7 +78,7 @@ def extended_real(value, name: str) -> float:
     """As real, but +/-inf passes too; NaN does not."""
     x = _as_float(value)
     if math.isnan(x):
-        raise InputError(f"{name} must be a finite or infinite number, got {value!r}")
+        raise InputError(f"{name} must be a finite or infinite number, got {_shown(value)}")
     return x
 
 
@@ -78,7 +89,7 @@ def real_array(value, name: str) -> np.ndarray:
     """
     array = np.asarray(value)
     if array.dtype.kind not in "iuf":
-        raise InputError(f"{name} must be a number or an array of numbers, got {value!r}")
+        raise InputError(f"{name} must be a number or an array of numbers, got {_shown(value)}")
     return array.astype(float, copy=False)
 
 
@@ -95,4 +106,4 @@ def integral(value, name: str) -> int:
         if bits > 64:
             raise InputError(f"{name} must be an integer of at most 64 bits, got {bits} bits")
         return int(value)
-    raise InputError(f"{name} must be an integer, got {value!r}")
+    raise InputError(f"{name} must be an integer, got {_shown(value)}")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AnalyticUnavailable, DegenerateRegime, InputError, real
+from .errors import AnalyticUnavailable, DegenerateRegime, InputError, _shown, real
 from .inference import critical_value, p_value
 from .variance import MomentSet
 
@@ -331,7 +331,7 @@ def power_curve(
     try:
         grid = [real(d, "d_grid entry") for d in d_grid]
     except TypeError:
-        raise InputError(f"d_grid must be a sequence of thresholds, got {d_grid!r}") from None
+        raise InputError(f"d_grid must be a sequence of thresholds, got {_shown(d_grid)}") from None
     if not grid:
         raise InputError("d_grid must hold at least one threshold")
     points = []

@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import LrdRule, _check_length, tie_fraction
-from .errors import InputError, integral, real
+from .errors import InputError, _shown, integral, real
 from .inference import critical_value, score_rows
 from .power import ErrorDensity
 from .seeds import check_replicates, chunks
@@ -102,7 +102,7 @@ class Scenario:
         try:
             ratios = tuple(real(r, "d_ratios entry") for r in self.d_ratios)
         except TypeError:
-            raise InputError(f"d_ratios must be a sequence, got {self.d_ratios!r}") from None
+            raise InputError(f"d_ratios must be a sequence, got {_shown(self.d_ratios)}") from None
         object.__setattr__(self, "d_ratios", ratios)
         if self.p < 1:
             raise InputError(f"trend power p must be >= 1, got {self.p}")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, InvalidMoments, integral
+from .errors import InputError, InvalidMoments, _shown, integral
 
 #: rounding in computed moments (the Gauss-Legendre orthant sum for normal
 #: errors, trapezoid sums for tabulated densities) can cross a range bound
@@ -60,7 +60,7 @@ def var_classical(n: int, ties: tuple[int, ...] = ()) -> float:
     try:
         ties = [integral(w, "tie extent") for w in ties]
     except TypeError:
-        raise InputError(f"ties must be a sequence of tie extents, got {ties!r}") from None
+        raise InputError(f"ties must be a sequence of tie extents, got {_shown(ties)}") from None
     total = 0
     for w in ties:
         if w < 2 or w > n:

@@ -52,7 +52,10 @@ ROUTED = [
     ("error_sd", lambda x: density_for("normal", x)),
     ("d_grid entry", lambda x: power_curve(NORMAL, 1.0, [x])),
 ]
-NOT_NUMBERS = ["0.5", None, True, [0.5], math.nan, math.inf]
+# repr(10**5000) passes the int-to-str digit limit, so it has an explicit id,
+# and the refusal must describe it without printing it
+NOT_NUMBERS = ["0.5", None, True, [0.5], math.nan, math.inf,
+               pytest.param(10**5000, id="1e5000"), pytest.param([10**5000], id="[1e5000]")]
 
 
 @pytest.mark.parametrize("bad", NOT_NUMBERS, ids=repr)
@@ -92,11 +95,12 @@ COUNTED = [
     ("seed", lambda x: Scenario(**SCENARIO, seed=x)),
     ("seed", lambda x: permutation_test(Series.from_values(DBP), seed=x, method="sampled")),
 ]
-# an integer beyond 64 bits is refused without being printed: repr(10**5000)
-# passes the int-to-str digit limit, so it has an explicit id
+# an integer beyond 64 bits is refused without being printed; the big
+# inputs have explicit ids, as in NOT_NUMBERS
 NOT_COUNTS = ["5", None, True, np.True_, [5], 2.5, 3.5, math.nan, math.inf, 1e20,
               pytest.param(2**64, id="2**64"), pytest.param(-(2**64), id="-2**64"),
-              pytest.param(10**400, id="1e400"), pytest.param(10**5000, id="1e5000")]
+              pytest.param(10**400, id="1e400"), pytest.param(10**5000, id="1e5000"),
+              pytest.param([10**5000], id="[1e5000]")]
 
 
 @pytest.mark.parametrize("bad", NOT_COUNTS, ids=repr)
@@ -121,6 +125,23 @@ def test_counted_arguments_keep_what_is_valid():
     assert var_classical(2**64 - 1) > 0  # the largest n accepted
     with pytest.raises(InputError, match="^ties must be a sequence of tie extents"):
         var_classical(5, 2)
+
+
+# (name in the error, entry point whose message shows the value)
+SHOWN = [
+    ("ties", lambda x: var_classical(5, x)),
+    ("d_grid", lambda x: power_curve(NORMAL, 1.0, x)),
+    ("d_ratios", lambda x: Scenario(**dict(SCENARIO, d_ratios=x))),
+    ("score", lambda x: z_score([x], 1.0)),
+    ("variance", lambda x: z_score(1, [x])),
+]
+
+
+@pytest.mark.parametrize("name, entry", SHOWN, ids=[name for name, _ in SHOWN])
+def test_refusal_describes_an_integer_too_long_to_print(name, entry):
+    # each message used to end in a bare ValueError from int-to-str conversion
+    with pytest.raises(InputError, match=f"^{name} must be .*, got an? (int of 16610 bits|list)"):
+        entry(10**5000)
 
 
 # arguments wider than a finite scalar, with the NOT_NUMBERS that apply: z
@@ -156,7 +177,7 @@ def test_real_takes_python_and_numpy_numbers_as_float():
         x = real(value, "x")
         assert type(x) is float and x == float(value)
     assert real(-0.0, "x") == 0.0
-    for bad in (np.bool_(True), 10**400, -(10**400), np.float64("nan")):
+    for bad in (np.bool_(True), 10**400, -(10**400), 10**5000, np.float64("nan")):
         with pytest.raises(InputError, match="^x must be a finite number"):
             real(bad, "x")
 
