@@ -15,7 +15,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .core import LrdRule, Series, _symmetric_only, pair_counts, tie_fraction
-from .errors import InputError, extended_real, real, real_array
+from .errors import InputError, extended_real, integral, real, real_array
 from .variance import _check_n, var_classical, var_extended_hat, tie_groups
 
 # ── defaults ────────────────────────────────────────────────────────────
@@ -102,13 +102,17 @@ def tau_extended(s_ex: int, scoring: int, n: int) -> tuple[float, float | None]:
     geometric mean of the unthresholded pair count and the count of
     pairs the threshold leaves active, mirroring the tie-corrected
     denominator of the classical coefficient. ``scoring`` counts the
-    pairs that score +/-1. n must be an integer >= 2 (errors.integral),
-    else InputError.
+    pairs that score +/-1. All three are integers (errors.integral), with
+    n >= 2 and |s_ex| <= scoring <= n(n-1)/2, else InputError.
 
     Returns:
         (tau_a, tau_b); tau_b is None when no pair clears the threshold.
     """
     n = _check_n(n)
+    s_ex, scoring = integral(s_ex, "score"), integral(scoring, "scoring")
+    if not abs(s_ex) <= scoring <= n * (n - 1) // 2:
+        raise InputError(f"need |score| <= scoring <= n(n-1)/2 = {n * (n - 1) // 2}, "
+                         f"got score {s_ex} and scoring {scoring}")
     pairs = n * (n - 1) / 2.0
     tau_a = s_ex / pairs
     if scoring == 0:

@@ -94,6 +94,8 @@ COUNTED = [
     ("replicates", check_replicates),
     ("seed", lambda x: Scenario(**SCENARIO, seed=x)),
     ("seed", lambda x: permutation_test(Series.from_values(DBP), seed=x, method="sampled")),
+    ("score", lambda x: tau_extended(x, 1, 5)),
+    ("scoring", lambda x: tau_extended(1, x, 5)),
 ]
 # an integer beyond 64 bits is refused without being printed; the big
 # inputs have explicit ids, as in NOT_NUMBERS
@@ -142,6 +144,15 @@ def test_refusal_describes_an_integer_too_long_to_print(name, entry):
     # each message used to end in a bare ValueError from int-to-str conversion
     with pytest.raises(InputError, match=f"^{name} must be .*, got an? (int of 16610 bits|list)"):
         entry(10**5000)
+
+
+@pytest.mark.parametrize("s_ex, scoring", [(10, 1), (-2, 1), (1, -1), (1, 11)])
+def test_tau_extended_refuses_inconsistent_counts(s_ex, scoring):
+    # (10, 1) gave tau_b = 3.16: |score| cannot pass the scoring pairs, nor
+    # scoring the n(n-1)/2 = 10 pairs of n = 5
+    with pytest.raises(InputError, match=r"^need \|score\| <= scoring <= n\(n-1\)/2 = 10"):
+        tau_extended(s_ex, scoring, 5)
+    assert tau_extended(-10, 10, 5) == (-1.0, -1.0)
 
 
 # arguments wider than a finite scalar, with the NOT_NUMBERS that apply: z
