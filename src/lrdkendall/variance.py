@@ -73,6 +73,36 @@ def var_classical(n: int, ties: tuple[int, ...] = ()) -> float:
     return (base - corr) / 18.0
 
 
+def _counts(u, v):
+    """u and v as int64 arrays, with the totals of u along the last axis.
+
+    The counts of one pairwise comparison of n values, n the length of the
+    last axis: arrays of equal shape, of an integer dtype or of integral
+    floats (not bools or strings), each count in 0..n-1, and u and v with
+    equal totals. Anything else raises InputError.
+    """
+    u, v = np.asarray(u), np.asarray(v)
+    if u.shape != v.shape or u.ndim < 1:
+        raise InputError("u and v must be arrays of equal shape")
+    top = u.shape[-1] - 1
+    for name, counts in (("u", u), ("v", v)):
+        if counts.dtype.kind not in "iuf" or (
+            counts.dtype.kind == "f" and not np.array_equal(counts, np.trunc(counts))
+        ):
+            raise InputError(f"{name} must hold integer counts, got dtype {counts.dtype}")
+        if counts.size and (counts.min() < 0 or counts.max() > top):
+            raise InputError(f"{name} counts must lie in 0..n-1 = 0..{top}")
+    u, v = u.astype(np.int64, copy=False), v.astype(np.int64, copy=False)
+    # einsum sums the short rows of a simulation chunk twice as fast as sum
+    total = np.einsum("...i->...", u)
+    if np.any(total != np.einsum("...i->...", v)):
+        raise InputError(
+            f"inconsistent counts: sum(u)={total} != sum(v)={v.sum(axis=-1)}; "
+            "u and v must come from the same pairwise comparison"
+        )
+    return u, v, total
+
+
 def var_extended_hat(u, v):
     """Plug-in variance estimate from exceedance counts: (1/3)sum((u-v)^2) + (1/3)sum(u).
 
@@ -83,18 +113,9 @@ def var_extended_hat(u, v):
     Args:
         u: Per-observation counts of relevant exceedances (see uv_counts).
         v: Matching counts of relevant shortfalls; totals must agree.
+            Both are checked as counts (integers in 0..n-1), else InputError.
     """
-    u = np.asarray(u, dtype=np.int64)
-    v = np.asarray(v, dtype=np.int64)
-    if u.shape != v.shape or u.ndim < 1:
-        raise InputError("u and v must be arrays of equal shape")
-    # einsum sums the short rows of a simulation chunk twice as fast as sum
-    total = np.einsum("...i->...", u)
-    if np.any(total != np.einsum("...i->...", v)):
-        raise InputError(
-            f"inconsistent counts: sum(u)={total} != sum(v)={v.sum(axis=-1)}; "
-            "u and v must come from the same pairwise comparison"
-        )
+    u, v, total = _counts(u, v)
     diff = u - v
     var = (np.einsum("...i,...i->...", diff, diff) + total) / 3.0
     return float(var) if var.ndim == 0 else var
@@ -177,12 +198,13 @@ def moment_estimates(u, v) -> MomentSet:
     above_one:   sum(u)      / (n(n-1)).
 
     Estimates can step outside the population constraints on small
-    samples; they are reported as computed.
+    samples; they are reported as computed. u and v are checked as
+    var_extended_hat checks them, else InputError.
     """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.ndim != 1 or u.shape != v.shape:
+    if np.ndim(u) != 1 or np.shape(u) != np.shape(v):
         raise InputError("u and v must be 1-d arrays of equal length")
+    u, v, _ = _counts(u, v)
+    u, v = u.astype(np.float64), v.astype(np.float64)
     n = len(u)
     if n < 3:
         raise InputError("moment estimates need n >= 3")

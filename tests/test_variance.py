@@ -175,3 +175,35 @@ class TestMomentEstimates:
             direct = var_extended_hat(u, v)
             assembled = var_extended_from_moments(moment_estimates(u, v), n)
             assert assembled == pytest.approx(direct, rel=1e-12, abs=1e-9)
+
+
+# what no pairwise comparison of three values gives; at least one of the two
+# estimators took each, or ended in a bare numpy error
+NOT_COUNTS = {
+    "unequal totals": ([2, 0, 0], [0, 0, 0]),
+    "above n-1": ([3, 0, 0], [1, 1, 1]),
+    "negative": ([-1, 1, 0], [0, 0, 0]),
+    "fractional": ([1.7, 0.3, 1.0], [0.3, 1.7, 1.0]),
+    "nan": ([np.nan, 0.0, 0.0], [0.0, 0.0, 0.0]),
+    "numeric strings": (["1", "0", "1"], ["0", "1", "1"]),
+    "letters": (["a", "b", "c"], ["a", "b", "c"]),
+    "bools": ([True, False, True], [False, True, True]),
+    "int64 overflow": ([2**62] * 3, [2**62] * 3),
+}
+
+
+@pytest.mark.parametrize("u, v", NOT_COUNTS.values(), ids=NOT_COUNTS.keys())
+def test_both_estimators_refuse_what_are_not_counts(u, v):
+    # var_extended_hat(u, v) == var_extended_from_moments(moment_estimates(u, v), n)
+    # is an identity, so the two sides take the same counts
+    for estimator in (var_extended_hat, moment_estimates):
+        with pytest.raises(InputError, match=r"^(u|v) (must hold|counts)|^inconsistent counts"):
+            estimator(u, v)
+
+
+def test_integral_floats_and_unsigned_ints_are_counts():
+    u, v = [0, 1, 2, 3], [3, 2, 1, 0]
+    for kind in (float, np.uint8):
+        a, b = np.asarray(u, dtype=kind), np.asarray(v, dtype=kind)
+        assert var_extended_hat(a, b) == var_extended_hat(u, v)
+        assert moment_estimates(a, b) == moment_estimates(u, v)
