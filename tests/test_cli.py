@@ -521,6 +521,20 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: threshold d = d_ratio 1e+300") and err.count("\n") == 1
 
+    def test_seed_beyond_64_bits_exits_2_before_any_cell(self, capsys, monkeypatch, series_path):
+        # a seed of 2**64 keyed its draw streams like any other, and both runs exited 0
+        def no_run(scenarios):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr("lrdkendall.cli.run_grid", no_run)
+        seed = str(2**64)
+        assert_one_error_line(capsys, "simulate", "--config", "configs/smoke_grid.json",
+                              "--seed", seed)
+        assert_one_error_line(capsys, "test", series_path, "--method", "permutation",
+                              "--seed", seed)
+        assert_one_error_line(capsys, "regional", FIXTURE, "--method", "permutation",
+                              "--seed", seed)
+
     def test_unwritable_out_exits_2_before_any_cell(self, capsys, monkeypatch, tmp_path):
         # --out was opened after the whole grid ran, then ended in a traceback
         def no_run(scenarios):
