@@ -6,12 +6,24 @@ their numerical values differ. This module defines the comparison rule,
 the trend score built from it, and the per-observation exceedance counts
 that drive every downstream variance formula.
 
-The package's only pairwise array code is one kernel over an (m, n)
-matrix of series, :func:`pair_counts`. It walks the pairs a block of time
-lags at a time, so it holds O(mn) memory, and returns the score, the scoring
-pairs and the u/v exceedance counts together. Series longer than
+The package's pairwise array code is :func:`pair_counts`, which returns the
+score, the scoring pairs and the u/v exceedance counts of each row of an
+(m, n) matrix of series, in O(mn) memory, by one of two routes:
+
+* The lag kernel walks the n(n-1)/2 pairs a block of time lags at a time.
+  It takes every batched call (m > 1): the permutation chunks, the
+  simulation chunks and the 2-column rows of the exhaustive null. There
+  many short rows share each numpy call, which no per-row sort can match.
+  It also takes one-directional rules, whose u and v depend on time
+  order, and series shorter than a measured crossover.
+* The sort route takes one long finite series under a symmetric rule,
+  such as the ``run_test`` of a long record. It counts u and v by binary
+  search over the sorted values and the score by merging time blocks
+  (Knight 1966), in O(n log^2 n) time.
+
+Both give the same arrays, element for element. Series longer than
 :data:`MAX_SERIES_N` are refused. :func:`pair_score` is the scalar reference
-it is tested against.
+they are tested against.
 
 Conventions
 -----------
@@ -54,9 +66,14 @@ from .errors import AnalyticUnavailable, InputError, InsufficientData, real
 BOUNDARIES = ("leq", "lt")
 DIRECTIONS = ("symmetric", "positive_only", "negative_only")
 
-#: longest series a pairwise-kernel call accepts: it bounds one call to about
-#: 0.25 s, and it keeps n below 2**15, which the int16 counters of pair_counts need
+#: longest series a pairwise-kernel call accepts. It keeps n below 2**15, which
+#: the int16 counters of the lag kernel need; batched rows always take that kernel.
+#: A single series at the cap takes the sort route, in about 20 ms.
 MAX_SERIES_N = 11_239
+
+#: a single series at least this long takes the sort route of pair_counts: the
+#: measured crossover, below which the lag kernel's fewer numpy calls win
+_SORT_MIN_N = 256
 
 
 @dataclass(frozen=True)
@@ -207,7 +224,10 @@ def pair_counts(rows: np.ndarray, rule: LrdRule):
     Each row is one series in time order. Over its n(n-1)/2 pairs i < j,
     ``up`` counts the pairs that :func:`pair_score` scores +1 and ``down``
     those it scores -1, so ``s = up - down`` and ``scoring = up + down``.
-    Works under every direction; a zero difference never scores.
+    Works under every direction; a zero difference never scores. One
+    finite series (m = 1) of at least ``_SORT_MIN_N`` values under a
+    symmetric rule is counted by sorting, in O(n log^2 n) time; every other
+    call takes the lag kernel. Both give the same arrays.
 
     ``u[k, i]`` counts the observations of row k that value i relevantly
     exceeds; ``v[k, i]`` counts those it relevantly falls below. Every
@@ -249,6 +269,8 @@ def pair_counts(rows: np.ndarray, rule: LrdRule):
     """
     _check_length(rows.shape[1])
     m, n = rows.shape
+    if m == 1 and n >= _SORT_MIN_N and rule.direction == "symmetric" and np.isfinite(rows).all():
+        return _sorted_counts(rows[0].astype(float, copy=False), rule)
     # lags per step: about 2**15 differences, so a long series costs few numpy
     # calls per lag (8 lags at n = 4000) while a step stays cache-sized
     block = max(1, min(n - 1, 2**15 // max(1, n * m)))
@@ -287,6 +309,86 @@ def pair_counts(rows: np.ndarray, rule: LrdRule):
     n_down = fall.sum(axis=0, dtype=np.int64) - equal
     u, v = np.add(rise, lift, dtype=np.int64), np.add(fall, sink, dtype=np.int64)
     return n_up - n_down, n_up + n_down, u.T, v.T
+
+
+def _prefix_end(guess, holds, top: int):
+    """Per entry, the end of the prefix of 0 .. top - 1 on which ``holds`` is True.
+
+    ``holds(k)`` tests each entry at index ``k`` and must be True on a prefix
+    of the indices. ``guess`` comes from a searchsorted on a rounded bound,
+    so it misses by the values within rounding of that bound, which on real
+    data is none or one: 0.7 - 0.1 > 0.6 is False in floats. Each step
+    moves every entry still off by one place.
+    """
+    k = guess
+    while (step := (k < top) & holds(np.minimum(k, top - 1))).any():
+        k = k + step
+    while (step := (k > 0) & ~holds(np.maximum(k - 1, 0))).any():
+        k = k - step
+    return k
+
+
+def _sorted_counts(x: np.ndarray, rule: LrdRule):
+    """:func:`pair_counts` of one finite series under a symmetric rule, by sorting."""
+    u, v, rank, low, high = _value_counts(x, rule)
+    up, down = _merged_pairs(rank, low, high)
+    return np.array([up - down]), np.array([up + down]), u[None, :], v[None, :]
+
+
+def _value_counts(x: np.ndarray, rule: LrdRule):
+    """u and v of one series, with each value's rank among the distinct values.
+
+    Over the sorted distinct values, value q relevantly exceeds those below
+    index ``below[q]`` and falls below those from ``above[q]`` on, by the lag
+    kernel's own predicate, so no time order is needed. Observation j scores
+    +1 against an earlier one of rank below ``low[j]`` and -1 against one of
+    rank ``high[j]`` or more. The ranks are int32, which halves the memory
+    of the merge passes.
+    """
+    n, d = len(x), rule.d
+    values, rank, size = np.unique(x, return_inverse=True, return_counts=True)
+    top = len(values)
+    below_n = np.concatenate(([0], np.cumsum(size)))  # observations below each index
+    with np.errstate(over="ignore"):  # an infinite difference exceeds every d
+        below = _prefix_end(np.searchsorted(values, values - d),
+                            lambda k: _exceeds(values - values[k], d, rule.boundary), top)
+        above = _prefix_end(np.searchsorted(values, values + d),
+                            lambda k: ~_exceeds(values[k] - values, d, rule.boundary), top)
+    u, v = below_n[below][rank], n - below_n[above][rank]
+    if rule.boundary == "lt" and d == 0:
+        # every value exceeds itself by 0 there; pairs of equal values still never score
+        u -= 1
+        v -= 1
+        below, above = np.arange(top), np.arange(1, top + 1)
+    rank = rank.astype(np.int32)
+    return u, v, rank, below.astype(np.int32)[rank], above.astype(np.int32)[rank]
+
+
+def _merged_pairs(rank, low, high) -> tuple[int, int]:
+    """(up, down): the pairs i < j with rank[i] < low[j], and those with rank[i] >= high[j].
+
+    One pass per power of two w: in each block of 2w time steps, every
+    later-half observation counts its earlier-half partners by binary search
+    over their sorted keys block * (n + 1) + rank. Every pair meets in
+    exactly one pass. MAX_SERIES_N keeps the keys below 2**31.
+    """
+    n = len(rank)
+    span = n + 1  # above every rank, so the keys keep the blocks apart
+    t = np.arange(n, dtype=np.int32)
+    up = down = 0
+    level = 0
+    while (width := 1 << level) < n:
+        block = t >> (level + 1)
+        late = (t & width).astype(bool)
+        early = ~late
+        keys = np.sort(block[early] * span + rank[early])
+        block = block[late]
+        base = block * span
+        # blocks before this one are full, so their earlier halves hold block * width keys
+        up += int(np.searchsorted(keys, base + low[late]).sum() - width * block.sum())
+        down += int(width * (block + 1).sum() - np.searchsorted(keys, base + high[late]).sum())
+        level += 1
+    return up, down
 
 
 def s_extended(series: Series, rule: LrdRule) -> int:

@@ -15,7 +15,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .core import LrdRule, Series, _symmetric_only, pair_counts, tie_fraction
-from .errors import InputError, extended_real, integral, real, real_array
+from .errors import InputError, _shown, extended_real, integral, real, real_array
 from .variance import _check_n, var_classical, var_extended_hat, tie_groups
 
 # ── defaults ────────────────────────────────────────────────────────────
@@ -24,6 +24,16 @@ SMALL_N = 10          # below this the normal approximation is shaky
 HEAVY_TIES = 0.6      # zero-score pair fraction at or above this
 
 SIDEDNESS = ("two_sided", "greater", "less")
+
+
+def _first_bad(given, array: np.ndarray, bad: np.ndarray) -> str:
+    """A refused argument, kept short: a scalar as given, an array by its
+    shape and its first refused entry."""
+    if array.ndim == 0:
+        return _shown(given)
+    index = np.unravel_index(np.argmax(bad), bad.shape)
+    at = ", ".join(str(int(i)) for i in index)
+    return f"an array of shape {array.shape} with {float(array[index])!r} at [{at}]"
 
 
 def z_score(s_ex, variance, continuity: bool = True):
@@ -45,11 +55,13 @@ def z_score(s_ex, variance, continuity: bool = True):
         0.0 for s_ex == 0, signed infinity otherwise.
     """
     var = real_array(variance, "variance")
-    if not np.all(np.isfinite(var)) or np.any(var < 0):
-        raise InputError(f"variance must be finite and >= 0, got {variance!r}")
+    bad = ~np.isfinite(var) | (var < 0)
+    if bad.any():
+        raise InputError(f"variance must be finite and >= 0, got {_first_bad(variance, var, bad)}")
     s = real_array(s_ex, "score")
-    if not np.all(np.isfinite(s)):
-        raise InputError(f"score must be finite, got {s_ex!r}")
+    bad = ~np.isfinite(s)
+    if bad.any():
+        raise InputError(f"score must be finite, got {_first_bad(s_ex, s, bad)}")
     if continuity:
         s = s - np.sign(s)
     with np.errstate(divide="ignore", invalid="ignore"):

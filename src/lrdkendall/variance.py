@@ -35,7 +35,7 @@ def tie_groups(values) -> tuple[int, ...]:
     anything.
     """
     _, counts = np.unique(np.asarray(values, dtype=float), return_counts=True)
-    return tuple(sorted(int(c) for c in counts if c > 1))
+    return tuple(np.sort(counts[counts > 1]).tolist())
 
 
 def _check_n(n) -> int:

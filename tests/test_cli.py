@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import lrdkendall
@@ -66,6 +67,24 @@ class TestTestCommand:
         path.write_text("t,v\n" + "".join(f"{i},{x}\n" for i, x in enumerate(values)))
         assert main(["test", str(path)]) == 2
         assert f"n = {len(values)} is longer than" in capsys.readouterr().err
+
+    def test_json_of_a_long_series_matches_the_double_loop(self, capsys, tmp_path):
+        # 3000 points take the sort route of core.pair_counts
+        values = (np.round(np.cumsum(np.random.default_rng(6).normal(size=3000)), 1) + 95).tolist()
+        path = tmp_path / "long.csv"
+        path.write_text("t,v\n" + "".join(f"{i},{x!r}\n" for i, x in enumerate(values)))
+        code, raw = run_clean(capsys, "test", str(path), "--lrd", "0.6", "--format", "json")
+        assert code == 0
+        score = scoring = 0
+        x = np.array(values)
+        for i in range(len(x) - 1):  # the inner loop over the later values, in numpy
+            later = x[i + 1:] - x[i]
+            up, down = np.count_nonzero(later > 0.6), np.count_nonzero(later < -0.6)
+            score, scoring = score + up - down, scoring + up + down
+        pairs = len(x) * (len(x) - 1) // 2
+        payload = json.loads(raw)
+        assert payload["s_extended"] == score
+        assert payload["tie_proportion"] == (pairs - scoring) / pairs
 
     def test_text_output(self, capsys, series_path):
         code, out = run_cli(capsys, "test", series_path, "--lrd", "0.6")

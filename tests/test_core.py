@@ -1,6 +1,7 @@
 """Pair scoring, the extended statistic, and exceedance counts."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from lrdkendall import (
     tie_proportion,
     uv_counts,
 )
-from lrdkendall.core import _check_length, pair_counts
+from lrdkendall import core
+from lrdkendall.core import MAX_SERIES_N, _check_length, pair_counts
 
 # Ten blood-pressure readings reused across the suite.  Brute-force pair
 # enumeration (the loop in oracle_s below) gives S=15 at d=0 and, with
@@ -186,14 +188,57 @@ class TestPairCounts:
                     assert np.array_equal(v[k], hit.sum(axis=1))
 
     def test_single_series_holds_no_n_squared_array(self):
-        rows = np.random.default_rng(0).normal(size=(1, 3000))
-        tracemalloc.start()
-        try:
-            pair_counts(rows, LrdRule(d=0.5))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20  # an n x n float array alone would be 72 MB
+        # the sort route, up to the length cap, and the lag kernel (one-directional)
+        for n, rule in ((3000, LrdRule(d=0.5)), (MAX_SERIES_N, LrdRule(d=0.5)),
+                        (MAX_SERIES_N, LrdRule(d=0.0, boundary="lt")),
+                        (3000, LrdRule(d=0.5, direction="positive_only"))):
+            rows = np.random.default_rng(0).normal(size=(1, n))
+            tracemalloc.start()
+            try:
+                pair_counts(rows, rule)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20  # an n x n float array alone would be 72 MB at n = 3000
+
+
+class TestSortRoute:
+    def assert_same(self, x, rules):
+        """pair_counts of x alone, which must take the sort route, equals row 0
+        of pair_counts of [x, x], which always takes the lag kernel."""
+        for rule in rules:
+            with mock.patch.object(core, "_sorted_counts", wraps=core._sorted_counts) as sort:
+                routed = pair_counts(x[None, :], rule)
+            assert sort.call_count == 1
+            for got, want in zip(routed, pair_counts(np.vstack([x, x]), rule)):
+                assert got.dtype == want.dtype and np.array_equal(got, want[:1])
+
+    def test_long_walk_matches_the_lag_kernel(self):
+        x = np.round(np.cumsum(np.random.default_rng(3).normal(size=3000)), 1) + 95
+        self.assert_same(x, [LrdRule(d=d, boundary=boundary)
+                             for d in (0.0, 0.1, 0.6) for boundary in ("leq", "lt")])
+
+    def test_overflowing_differences_exceed_every_d(self):
+        # +/-1e308 among small values: differences overflow to +/-inf, and a
+        # RuntimeWarning fails the test
+        rng = np.random.default_rng(4)
+        x = np.round(rng.normal(size=600), 1)
+        x[rng.random(600) < 0.1] = 1e308
+        x[rng.random(600) < 0.1] = -1e308
+        self.assert_same(x, [LrdRule(d=d, boundary=boundary)
+                             for d in (0.0, 0.5, 1e308) for boundary in ("leq", "lt")])
+
+    def test_guesses_are_corrected_in_a_few_steps_where_one_ulp_exceeds_d(self):
+        # near 1e16 one ulp is 2, so x - d rounds onto another value for most d
+        x = 1e16 + 2.0 * np.random.default_rng(5).integers(0, 300, 600)
+        for d in (0.0, 0.5, 1.0, 2.0, 3.0):
+            for boundary in ("leq", "lt"):
+                rule = LrdRule(d=d, boundary=boundary)
+                self.assert_same(x, [rule])
+                with mock.patch.object(core, "_exceeds", wraps=core._exceeds) as tests:
+                    core._sorted_counts(x, rule)
+                # four checks that find each guess right, and at most a step or two
+                assert tests.call_count <= 6
 
 
 class TestUvCounts:

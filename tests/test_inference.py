@@ -69,6 +69,19 @@ class TestZScore:
         assert z_score(0, 0.0) == 0.0  # a sure tie still standardizes to 0
         assert z_score(np.array([0, 2]), 0.0).tolist() == [0.0, math.inf]
 
+    def test_refusals_of_long_arrays_stay_short(self):
+        # both messages used to print the whole array: 500 026 characters for the first
+        cases = [
+            (([math.nan] * 10**5, 1.0),
+             "score must be finite, got an array of shape (100000,) with nan at [0]"),
+            ((1.0, [1.0] * (10**5 - 1) + [-1.0]),
+             "variance must be finite and >= 0, got an array of shape (100000,) with -1.0 at [99999]"),
+        ]
+        for args, message in cases:
+            with pytest.raises(InputError) as refused:
+                z_score(*args)
+            assert str(refused.value) == message and len(message) < 200
+
     def test_array_rejects_any_bad_variance(self):
         for bad in (np.array([1.0, -1.0]), np.array([1.0, math.nan]), np.array([math.inf, 1.0])):
             with pytest.raises(InputError):

@@ -34,7 +34,7 @@ from lrdkendall import (
     var_extended_hat,
     z_score,
 )
-from lrdkendall.core import DIRECTIONS, pair_counts
+from lrdkendall.core import _SORT_MIN_N, DIRECTIONS, _sorted_counts, pair_counts
 from lrdkendall.inference import score_rows, tie_fraction
 
 int_values = st.lists(
@@ -106,6 +106,29 @@ def test_score_rows_match_run_test_row_by_row(rows, d, boundary, continuity):
         assert same_bits(tie_fraction(scoring[k], n), single.tie_proportion)
         assert same_bits(variance[k], single.variance)
         assert same_bits(z[k], single.z)
+
+
+# one series of tenths: around 0 or around 95, where more differences round
+# off d, or of four distinct values, so that most pairs are exact ties
+sort_series = st.one_of(
+    st.lists(tenths, min_size=2, max_size=40),
+    st.lists(st.integers(940, 970).map(lambda k: k / 10), min_size=2, max_size=40),
+    st.lists(st.integers(0, 3).map(lambda k: k / 10), min_size=2, max_size=40),
+).map(np.array)
+
+
+@given(values=sort_series, d=st.integers(0, 10).map(lambda k: k / 10), boundary=boundaries)
+def test_sort_route_matches_pair_score_and_the_lag_kernel(values, d, boundary):
+    # called directly, so short series are covered; pair_counts sends them to the lag kernel
+    rule = LrdRule(d=d, boundary=boundary)
+    s, scoring, u, v = _sorted_counts(values, rule)
+    n = len(values)
+    scores = [pair_score(values[i], values[j], rule) for i in range(n) for j in range(i + 1, n)]
+    assert (s[0], scoring[0]) == (sum(scores), sum(score != 0 for score in scores))
+    assert n < _SORT_MIN_N
+    _, _, lag_u, lag_v = pair_counts(values[None, :], rule)
+    assert u.dtype == lag_u.dtype and np.array_equal(u, lag_u)
+    assert v.dtype == lag_v.dtype and np.array_equal(v, lag_v)
 
 
 @given(rows=matrices, d=thresholds, boundary=boundaries)

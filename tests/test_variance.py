@@ -33,6 +33,15 @@ class TestTieGroups:
     def test_extents_sorted(self):
         assert tie_groups([2.0, 1.0, 2.0, 5.0, 5.0, 5.0]) == (2, 3)
 
+    def test_same_tuple_of_ints_as_a_loop_over_the_counts(self):
+        # a 0.1-grid walk of 4000 steps: several hundred groups, of many sizes
+        values = np.round(np.cumsum(np.random.default_rng(2).normal(size=4000)), 1)
+        _, counts = np.unique(values, return_counts=True)
+        want = tuple(sorted(int(c) for c in counts if c > 1))
+        got = tie_groups(values)
+        assert got == want and len(set(want)) > 5
+        assert all(type(w) is int for w in got)
+
 
 class TestVarClassical:
     def test_tie_free(self):
