@@ -15,7 +15,9 @@ score, the scoring pairs and the u/v exceedance counts of each row of an
   simulation chunks and the 2-column rows of the exhaustive null. There
   many short rows share each numpy call, which no per-row sort can match.
   It also takes one-directional rules, whose u and v depend on time
-  order, and series shorter than a measured crossover.
+  order, and series shorter than a measured crossover. Its counters are
+  bytes when a call takes fewer than 256 steps of lags, as every chunk
+  of short rows does, and int16 otherwise.
 * The sort route takes one long finite series under a symmetric rule,
   such as the ``run_test`` of a long record. It counts u and v by binary
   search over the sorted values and the score by merging time blocks
@@ -59,7 +61,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import AnalyticUnavailable, InputError, InsufficientData, real
 
@@ -67,8 +68,9 @@ BOUNDARIES = ("leq", "lt")
 DIRECTIONS = ("symmetric", "positive_only", "negative_only")
 
 #: longest series a pairwise-kernel call accepts. It keeps n below 2**15, which
-#: the int16 counters of the lag kernel need; batched rows always take that kernel.
-#: A single series at the cap takes the sort route, in about 20 ms.
+#: the lag kernel's int16 counters need from 256 steps on (below that its byte
+#: counters suffice); batched rows always take that kernel. A single series at
+#: the cap takes the sort route, in about 20 ms.
 MAX_SERIES_N = 11_239
 
 #: a single series at least this long takes the sort route of pair_counts: the
@@ -274,14 +276,17 @@ def pair_counts(rows: np.ndarray, rule: LrdRule):
     # lags per step: about 2**15 differences, so a long series costs few numpy
     # calls per lag (8 lags at n = 4000) while a step stays cache-sized
     block = max(1, min(n - 1, 2**15 // max(1, n * m)))
+    steps = -(-(n - 1) // block)
     # the rows as columns, then NaN rows that no comparison counts
     pad = np.full((n + block, m), np.nan)
     pad[:n] = rows.T
-    later = sliding_window_view(pad, block, axis=0)  # later[i, k, b] = pad[i + b, k]
+    p0, p1 = pad.strides
     # rise/fall count the pairs where a value is the later one and went up/down,
     # sink/lift those where it is the earlier one, one row per lag of a block;
-    # a cell gains at most 1 per block and MAX_SERIES_N keeps n below 2**15
-    rise, fall, sink, lift = counts = np.zeros((4, block, n + block, m), dtype=np.int16)
+    # a cell gains at most 1 per step, so bytes hold it below 256 steps and
+    # int16 beyond, where MAX_SERIES_N keeps n below 2**15
+    kind = np.uint8 if steps < 256 else np.int16
+    rise, fall, sink, lift = counts = np.zeros((4, block, n + block, m), dtype=kind)
     s0, s1, s2 = rise.strides
     equal = np.zeros(m, dtype=np.int64)
     # a one-directional rule counts every move in its unthresholded direction
@@ -291,20 +296,25 @@ def pair_counts(rows: np.ndarray, rule: LrdRule):
     with np.errstate(over="ignore"):  # an infinite difference exceeds every d
         for lag in range(1, n, block):
             t = n - lag
-            # delta[b, i] is pair (i, i + lag + b), later minus earlier
-            delta = later[lag:n].transpose(2, 0, 1) - pad[:t]
+            # later[b, i] is pad[lag + b + i], so delta[b, i] is pair (i, i + lag + b),
+            # later minus earlier
+            later = np.ndarray((block, t, m), pad.dtype, pad, lag * p0, (p0, p0, p1))
+            delta = later - pad[:t]
             # under lt a thresholded move of exactly d counts; at d = 0 that
             # includes 0, so equal values exceed each other but never score
             up = delta >= d_up if lt and d_up == rule.d else delta > d_up
             down = delta <= -d_down if lt and d_down == rule.d else delta < -d_down
             if lt and rule.d == 0:
                 equal += np.count_nonzero(up & down, axis=(0, 1))
+            up, down = up.view(np.uint8), down.view(np.uint8)  # byte counters add these uncast
             for counter, hits in ((rise, up), (fall, down)):  # [b, i] is counter[b, lag + i + b]
-                at_later = np.ndarray((block, t, m), np.int16, counter, lag * s1, (s0 + s1, s1, s2))
+                at_later = np.ndarray((block, t, m), kind, counter, lag * s1, (s0 + s1, s1, s2))
                 at_later += hits
             sink[:, :t] += up
             lift[:, :t] += down
-    rise, fall, sink, lift = (c.sum(axis=0, dtype=np.int16)[:n] for c in counts)  # all below n
+    # each total is below n; one lag per step needs no sum over the block axis
+    rise, fall, sink, lift = (c[0, :n] if block == 1 else c.sum(axis=0, dtype=np.int16)[:n]
+                              for c in counts)
     n_up = rise.sum(axis=0, dtype=np.int64) - equal
     n_down = fall.sum(axis=0, dtype=np.int64) - equal
     u, v = np.add(rise, lift, dtype=np.int64), np.add(fall, sink, dtype=np.int64)

@@ -176,7 +176,8 @@ def _simulate_chunk(rng, scenario: Scenario, m: int) -> np.ndarray:
     else:
         density = scenario.density
         noise = rng.uniform(density.lower, density.upper, size=(m, n))
-    return signal + noise
+    noise += signal
+    return noise
 
 
 def _run_cells(scenario: Scenario, d_ratios) -> list[tuple[CellKey, CellResult]]:

@@ -201,6 +201,74 @@ class TestPairCounts:
                 tracemalloc.stop()
             assert peak < 2**20  # an n x n float array alone would be 72 MB at n = 3000
 
+    def test_batched_chunks_hold_no_pair_tensor(self):
+        # the chunk shapes of the simulation (2500 rows) and permutation (4096 rows) engines
+        for m, n in ((2500, 30), (4096, 30)):
+            rows = np.random.default_rng(0).normal(size=(m, n))
+            for rule in (LrdRule(d=0.5), LrdRule(d=0.0, boundary="lt")):
+                tracemalloc.start()
+                try:
+                    pair_counts(rows, rule)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < m * n * n * 8 / 4  # one (m, n, n) float tensor is 18 MB at (2500, 30)
+
+
+def oracle_counts(values, rule):
+    """(s, scoring, u, v) of one series under a symmetric rule, by a plain double loop."""
+    n = len(values)
+    up = down = 0
+    u, v = [0] * n, [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            diff = values[j] - values[i]
+            rises = diff > rule.d if rule.boundary == "leq" else diff >= rule.d
+            falls = -diff > rule.d if rule.boundary == "leq" else -diff >= rule.d
+            if rises:
+                up += diff > 0
+                u[j] += 1
+                v[i] += 1
+            if falls:
+                down += diff < 0
+                u[i] += 1
+                v[j] += 1
+    return up - down, up + down, u, v
+
+
+class TestCounterWidth:
+    """The lag kernel's counters are bytes below 256 steps and int16 beyond, where
+    a byte would wrap silently; a cell gains at most 1 per step."""
+
+    RULES = (LrdRule(d=0.0), LrdRule(d=1.0, boundary="lt"), LrdRule(d=0.0, boundary="lt"))
+
+    def assert_oracle(self, distinct, pick):
+        """pair_counts of the rows distinct[pick] against the double loop, row by row."""
+        for rule in self.RULES:
+            got = pair_counts(distinct[pick], rule)
+            assert all(a.dtype == np.int64 for a in got)
+            want = [oracle_counts(list(x), rule) for x in distinct]
+            for k, row in enumerate(pick):
+                s, scoring, u, v = want[row]
+                assert (got[0][k], got[1][k]) == (s, scoring)
+                assert got[2][k].tolist() == u and got[3][k].tolist() == v
+
+    @pytest.mark.parametrize("n", [256, 257, 300])
+    def test_batched_rows_on_both_sides_of_the_switch(self, n):
+        # 128 rows take one lag per step, so n - 1 steps: bytes at n = 256, where the
+        # last value of a monotone row counts 255, and int16 at 257 and 300
+        distinct = np.array([np.arange(n), -np.arange(n),
+                             np.random.default_rng(n).integers(0, 20, n)], dtype=float)
+        pick = np.arange(128) % 3
+        assert pair_counts(distinct[pick], LrdRule(d=0.0))[2].max() == n - 1
+        self.assert_oracle(distinct, pick)
+
+    def test_single_series_of_duplicates_under_lt_at_zero(self):
+        # below the sort route's crossover, 128 lags per step; each value of the
+        # run of 9s at the end exceeds all 254 others under lt at 0
+        x = np.concatenate([np.random.default_rng(6).integers(0, 4, 200), np.full(55, 9)])
+        self.assert_oracle(x[None, :].astype(float), [0])
+
 
 class TestSortRoute:
     def assert_same(self, x, rules):
