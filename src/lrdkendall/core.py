@@ -11,13 +11,12 @@ score, the scoring pairs and the u/v exceedance counts of each row of an
 (m, n) matrix of series, in O(mn) memory, by one of two routes:
 
 * The lag kernel walks the n(n-1)/2 pairs a block of time lags at a time.
-  It takes every batched call (m > 1): the permutation chunks, the
-  simulation chunks and the 2-column rows of the exhaustive null. There
-  many short rows share each numpy call, which no per-row sort can match.
-  It also takes one-directional rules, whose u and v depend on time
-  order, and series shorter than a measured crossover. Its counters are
-  bytes when a call takes fewer than 256 steps of lags, as every chunk
-  of short rows does, and int16 otherwise.
+  It serves the simulation chunks, whose many short rows share each numpy
+  call, which no per-row sort can match, and every other batched call
+  (m > 1). It also takes single series shorter than a measured crossover
+  and one-directional rules, whose u and v depend on time order. Its
+  counters are bytes when a call takes fewer than 256 steps of lags, as
+  every chunk of short rows does, and int16 otherwise.
 * The sort route takes one long finite series under a symmetric rule,
   such as the ``run_test`` of a long record. It counts u and v by binary
   search over the sorted values and the score by merging time blocks
@@ -26,6 +25,14 @@ score, the scoring pairs and the u/v exceedance counts of each row of an
 Both give the same arrays, element for element. Series longer than
 :data:`MAX_SERIES_N` are refused. :func:`pair_score` is the scalar reference
 they are tested against.
+
+The module also owns :func:`_rank_bounds`, the pair rule restated over the
+ranks of a series' distinct values: which ranks each value scores +1 and
+-1 against. The sort route takes its bounds from it, and so do the
+permutation nulls, which permute one fixed set of values, so the bounds
+never change between draws. The exhaustive null builds its table of pair
+scores from them, and the sampled null scores each chunk of permuted rank
+rows by :func:`_rank_scores`, which compares bytes and counts S only.
 
 Conventions
 -----------
@@ -69,13 +76,17 @@ DIRECTIONS = ("symmetric", "positive_only", "negative_only")
 
 #: longest series a pairwise-kernel call accepts. It keeps n below 2**15, which
 #: the lag kernel's int16 counters need from 256 steps on (below that its byte
-#: counters suffice); batched rows always take that kernel. A single series at
-#: the cap takes the sort route, in about 20 ms.
+#: counters suffice); batched rows of values always take that kernel. A single
+#: series at the cap takes the sort route, in about 20 ms.
 MAX_SERIES_N = 11_239
 
 #: a single series at least this long takes the sort route of pair_counts: the
 #: measured crossover, below which the lag kernel's fewer numpy calls win
 _SORT_MIN_N = 256
+
+#: a permutation row of ranks at least this long is merged rather than taking the
+#: lag loop of _rank_scores: the measured crossover of one full chunk
+_MERGE_MIN_N = 1500
 
 
 @dataclass(frozen=True)
@@ -345,33 +356,53 @@ def _sorted_counts(x: np.ndarray, rule: LrdRule):
     return np.array([up - down]), np.array([up + down]), u[None, :], v[None, :]
 
 
-def _value_counts(x: np.ndarray, rule: LrdRule):
-    """u and v of one series, with each value's rank among the distinct values.
+def _rank_bounds(x: np.ndarray, rule: LrdRule):
+    """(rank, low, high): each observation's rank among the distinct values of
+    ``x``, and for each rank the bounds of the ranks it scores against.
 
-    Over the sorted distinct values, value q relevantly exceeds those below
-    index ``below[q]`` and falls below those from ``above[q]`` on, by the lag
-    kernel's own predicate, so no time order is needed. Observation j scores
-    +1 against an earlier one of rank below ``low[j]`` and -1 against one of
-    rank ``high[j]`` or more. The ranks are int32, which halves the memory
-    of the merge passes.
+    By the lag kernel's own predicate, under every direction and boundary, an
+    observation of rank r scores +1 against an earlier one of rank below
+    ``low[r]`` and -1 against one of rank ``high[r]`` or more; the ranks in
+    between tie with it. The bounds depend only on the values, so a
+    permutation null finds them once and scores every draw by comparing ranks.
     """
-    n, d = len(x), rule.d
-    values, rank, size = np.unique(x, return_inverse=True, return_counts=True)
+    values, rank = np.unique(x, return_inverse=True)
     top = len(values)
-    below_n = np.concatenate(([0], np.cumsum(size)))  # observations below each index
+    if rule.boundary == "lt" and rule.d == 0:
+        # equal values exceed each other by 0 there, but never score
+        low = np.arange(top)
+        return rank, low, low + 1
+    # a one-directional rule counts every nonzero move in its unthresholded direction
+    free = (0.0, "leq")
+    rise = free if rule.direction == "negative_only" else (rule.d, rule.boundary)
+    fall = free if rule.direction == "positive_only" else (rule.d, rule.boundary)
     with np.errstate(over="ignore"):  # an infinite difference exceeds every d
-        below = _prefix_end(np.searchsorted(values, values - d),
-                            lambda k: _exceeds(values - values[k], d, rule.boundary), top)
-        above = _prefix_end(np.searchsorted(values, values + d),
-                            lambda k: ~_exceeds(values[k] - values, d, rule.boundary), top)
-    u, v = below_n[below][rank], n - below_n[above][rank]
-    if rule.boundary == "lt" and d == 0:
-        # every value exceeds itself by 0 there; pairs of equal values still never score
-        u -= 1
-        v -= 1
-        below, above = np.arange(top), np.arange(1, top + 1)
+        low = _prefix_end(np.searchsorted(values, values - rise[0]),
+                          lambda k: _exceeds(values - values[k], *rise), top)
+        high = _prefix_end(np.searchsorted(values, values + fall[0]),
+                           lambda k: ~_exceeds(values[k] - values, *fall), top)
+    return rank, low, high
+
+
+def _value_counts(x: np.ndarray, rule: LrdRule):
+    """u and v of one series under a symmetric rule, then each observation's
+    rank and :func:`_rank_bounds`.
+
+    Value q relevantly exceeds the observations of rank below ``low[q]`` and
+    falls below those of rank ``high[q]`` or more, so no time order is
+    needed. The ranks and bounds are int32, which halves the memory of the
+    merge passes.
+    """
+    n = len(x)
+    rank, low, high = _rank_bounds(x, rule)
+    below_n = np.concatenate(([0], np.cumsum(np.bincount(rank, minlength=len(low)))))
+    if rule.boundary == "lt" and rule.d == 0:
+        # every value exceeds itself and its equals by 0 there, though equal values never score
+        u, v = below_n[high] - 1, n - 1 - below_n[low]
+    else:
+        u, v = below_n[low], n - below_n[high]
     rank = rank.astype(np.int32)
-    return u, v, rank, below.astype(np.int32)[rank], above.astype(np.int32)[rank]
+    return u[rank], v[rank], rank, low.astype(np.int32)[rank], high.astype(np.int32)[rank]
 
 
 def _merged_pairs(rank, low, high) -> tuple[int, int]:
@@ -399,6 +430,44 @@ def _merged_pairs(rank, low, high) -> tuple[int, int]:
         down += int(width * (block + 1).sum() - np.searchsorted(keys, base + high[late]).sum())
         level += 1
     return up, down
+
+
+def _rank_scores(rows: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """S of each row of an (m, n) matrix of ranks, scored by :func:`_rank_bounds`.
+
+    Rows of at least ``_MERGE_MIN_N`` ranks are merged one at a time
+    (:func:`_merged_pairs`). Shorter ones take a lag loop over the rows as
+    columns, a block of lags per step as in :func:`pair_counts`, in bytes:
+    each step compares the earlier ranks with the later bounds and adds the
+    hits to per-position counters. A counter cell gains at most 1 per step,
+    and a block spans enough lags to keep the steps below 256, so byte
+    counters cannot wrap.
+    """
+    m, n = rows.shape
+    if n >= _MERGE_MIN_N:
+        rows, low, high = rows.astype(np.int32), low.astype(np.int32), high.astype(np.int32)
+        return np.array([np.subtract(*_merged_pairs(r, low[r], high[r])) for r in rows],
+                        dtype=np.int64)
+    # about 2**15 compares per step, as in pair_counts, but fewer than 256 steps
+    block = max(-(-(n - 1) // 255), min(n - 1, 2**15 // (n * m)))
+    kind = np.uint8 if len(low) < 256 else np.uint16  # high reaches len(low)
+    rank = rows.T.astype(kind, order="C")
+    # the later bounds, then rows that no rank falls below or reaches
+    below = np.zeros((n + block, m), dtype=kind)
+    above = np.full((n + block, m), np.iinfo(kind).max, dtype=kind)
+    np.take(low.astype(kind), rank, out=below[:n])
+    np.take(high.astype(kind), rank, out=above[:n])
+    p0, p1 = below.strides
+    up, down = np.zeros((2, block, n, m), dtype=np.uint8)
+    for lag in range(1, n, block):
+        t = n - lag
+        for counter, bound, hits in ((up, below, np.less), (down, above, np.greater_equal)):
+            # later[b, i] is bound[lag + b + i], so [b, i] is pair (i, i + lag + b)
+            later = np.ndarray((block, t, m), kind, bound, lag * p0, (p0, p0, p1))
+            counter[:, :t] += hits(rank[:t], later).view(np.uint8)
+    # a row has fewer than n * n / 2 pairs, far below 2**31; int32 sums bytes faster
+    s = up.sum(axis=(0, 1), dtype=np.int32) - down.sum(axis=(0, 1), dtype=np.int32)
+    return s.astype(np.int64)
 
 
 def s_extended(series: Series, rule: LrdRule) -> int:

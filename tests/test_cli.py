@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,9 @@ from test_core import too_long
 from test_report import csv_cells
 
 FIXTURE = "src/lrdkendall/data/platelets_2001_2005.csv"
+
+#: JSON outputs of the permutation commands, recorded byte for byte
+GOLDEN = Path(__file__).parent / "data"
 
 SERIES_CSV = "t,v\n" + "".join(
     f"{2000 + i},{x}\n"
@@ -126,6 +130,16 @@ class TestTestCommand:
             "--seed", "3", "--format", "json",
         )
         assert json.loads(again) == payload
+
+    @pytest.mark.parametrize("argv, golden", [
+        (["--lrd", "0.6", "--direction", "pos", "--seed", "3"], "test_permutation_pos.json"),
+        (["--boundary", "lt", "--permutations", "4097"], "test_permutation_lt.json"),
+    ])
+    def test_permutation_json_is_pinned(self, capsys, series_path, argv, golden):
+        # recorded when every draw was scored as a row of values by pair_counts
+        _, raw = run_clean(capsys, "test", series_path, *argv,
+                           "--method", "permutation", "--format", "json")
+        assert raw.encode() == (GOLDEN / golden).read_bytes()
 
     def test_exhaustive_method(self, capsys, tmp_path):
         path = tmp_path / "small.csv"
@@ -249,6 +263,18 @@ class TestRegionalCommand:
         )
         assert code == 0
         assert json.loads(raw)["kind"] == "permutation_test"
+
+    @pytest.mark.parametrize("argv, golden", [
+        (["--lrd", "0.05", "--lrd-mode", "fraction-of-mean", "--boundary", "lt"],
+         "regional_permutation_fraction.json"),
+        (["--lrd", "0.2", "--permutations", "4097", "--seed", "7"],
+         "regional_permutation_absolute.json"),
+    ])
+    def test_permutation_json_is_pinned(self, capsys, argv, golden):
+        # recorded when every draw was scored as a row of values by pair_counts
+        _, raw = run_clean(capsys, "regional", FIXTURE, *argv,
+                           "--method", "permutation", "--format", "json")
+        assert raw.encode() == (GOLDEN / golden).read_bytes()
 
     def test_exhaustive_is_refused(self, capsys):
         code, _ = run_cli(capsys, "regional", FIXTURE, "--method", "exhaustive")

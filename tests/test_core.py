@@ -20,7 +20,7 @@ from lrdkendall import (
     uv_counts,
 )
 from lrdkendall import core
-from lrdkendall.core import MAX_SERIES_N, _check_length, pair_counts
+from lrdkendall.core import BOUNDARIES, DIRECTIONS, MAX_SERIES_N, _check_length, pair_counts
 
 # Ten blood-pressure readings reused across the suite.  Brute-force pair
 # enumeration (the loop in oracle_s below) gives S=15 at d=0 and, with
@@ -307,6 +307,48 @@ class TestSortRoute:
                     core._sorted_counts(x, rule)
                 # four checks that find each guess right, and at most a step or two
                 assert tests.call_count <= 6
+
+
+class TestRankScores:
+    """Permutation rows scored in rank space, by _rank_scores over _rank_bounds,
+    against pair_counts of the same rows of values."""
+
+    def scores(self, values, orders, rule):
+        rank, low, high = core._rank_bounds(values, rule)
+        return core._rank_scores(rank[orders], low, high)
+
+    @pytest.mark.parametrize("n", [core._MERGE_MIN_N - 1, core._MERGE_MIN_N])
+    @pytest.mark.parametrize("kind", ["walk", "extremes", "near 1e16"])
+    def test_rows_on_both_sides_of_the_crossover(self, n, kind):
+        # from _MERGE_MIN_N on, each row is merged; the lag loop takes shorter ones
+        rng = np.random.default_rng(n)
+        values = np.round(np.cumsum(rng.normal(size=n)), 1)
+        if kind == "extremes":  # differences overflow to +/-inf
+            values[rng.random(n) < 0.1] = 1e308
+            values[rng.random(n) < 0.1] = -1e308
+        elif kind == "near 1e16":  # one ulp is 2, more than every d below
+            values = 1e16 + 2.0 * rng.integers(0, 300, n)
+        orders = rng.permuted(np.tile(np.arange(n), (2, 1)), axis=1)
+        for rule in (LrdRule(d=d, boundary=boundary, direction=direction)
+                     for d in (0.0, 1.0) for boundary in BOUNDARIES for direction in DIRECTIONS):
+            with mock.patch.object(core, "_merged_pairs", wraps=core._merged_pairs) as merge:
+                got = self.scores(values, orders, rule)
+            assert merge.call_count == (2 if n >= core._MERGE_MIN_N else 0)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, pair_counts(values[orders], rule)[0])
+
+    @pytest.mark.parametrize("n", [255, 256, 257])
+    def test_byte_counters_on_both_sides_of_their_switch(self, n):
+        # 128 rows take one lag per step up to n = 256, where the first cell of a
+        # monotone row counts 255 pairs, and two lags per step from 257 on. The
+        # ranks are bytes up to 255 distinct values; from 256 the top bound is 256.
+        values = np.arange(n, dtype=float)
+        distinct = np.array([np.arange(n), np.arange(n)[::-1],
+                             np.random.default_rng(n).permutation(n)])
+        want = [oracle_s(list(values[order])) for order in distinct]
+        assert want[:2] == [n * (n - 1) // 2, -n * (n - 1) // 2]
+        pick = np.arange(128) % 3
+        assert self.scores(values, distinct[pick], LrdRule(d=0.0)).tolist() == [want[k] for k in pick]
 
 
 class TestUvCounts:

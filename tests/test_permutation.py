@@ -27,6 +27,21 @@ from lrdkendall.seeds import MAX_REPLICATES
 from test_core import DBP, too_long
 
 
+#: the values of the sampled pins: a 0.1 grid with duplicates and a weak trend
+PIN_VALUES = ((np.arange(30) * 7 % 11) + np.arange(30) // 12) / 10
+
+
+def traced_peak(call) -> int:
+    """tracemalloc's peak over a second call, after one that warms numpy's caches."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestExhaustive:
     def test_small_monotone_series(self):
         # 24 orderings of 4 distinct values, two reach |S| >= 6
@@ -191,6 +206,34 @@ class TestSampled:
         )
         assert (result.exceed_count, round(result.null_mean * result.draws)) == (646, 5866)
 
+    @pytest.mark.parametrize("rule, replicates, pin", [
+        (LrdRule(d=0.3, direction="positive_only"), 4097,
+         (3830, "-0x1.3a86d79286d79p+6", "0x1.9f1f2b6215b50p+5")),
+        (LrdRule(d=0.3, direction="positive_only"), 10000,
+         (9350, "-0x1.3a7126e978d50p+6", "0x1.9b73fea2cb026p+5")),
+        (LrdRule(d=0.3, direction="negative_only"), 4097,
+         (454, "0x1.3979286d79287p+6", "0x1.9f1f2b6215b50p+5")),
+        (LrdRule(d=0.3, direction="negative_only"), 10000,
+         (1072, "0x1.398ed916872b0p+6", "0x1.9b73fea2cb026p+5")),
+        (LrdRule(d=0.0, boundary="lt"), 4097,
+         (918, "0x1.c7e381c7e381cp-5", "0x1.c31a092af64acp+5")),
+        (LrdRule(d=0.0, boundary="lt"), 10000,
+         (2187, "-0x1.2f1a9fbe76c8bp-5", "0x1.be6db8f4c409dp+5")),
+    ])
+    def test_null_pinned(self, rule, replicates, pin):
+        # recorded when every draw was scored as a row of values by pair_counts;
+        # 4097 draws are chunks of 4096 and 1, 10000 draws three chunks
+        result = permutation_test(Series.from_values(PIN_VALUES), rule,
+                                  replicates=replicates, seed=0)
+        assert (result.exceed_count, result.null_mean.hex(), result.null_sd.hex()) == pin
+
+    def test_memory_bound(self):
+        # scoring each chunk as float rows through pair_counts peaked at 4.64 MiB
+        # on this call; rank rows scored in bytes peak at 2.34 MiB
+        series = Series.from_values(PIN_VALUES)
+        peak = traced_peak(lambda: permutation_test(series, LrdRule(d=0.3), seed=0))
+        assert peak < 3 * 2**20
+
     def test_integral_floats_read_as_ints(self):
         # seed=5.0 used to key the streams "5.0|perm|c" and report seed=5.0
         series, data = Series.from_values(DBP), platelet_donations()
@@ -237,6 +280,31 @@ class TestRegionalPermutation:
         policy = LrdPolicy(value=0.2, boundary="lt")
         result = regional_permutation_test(platelet_donations(), policy, seed=0)
         assert result.exceed_count == 66
+
+    @pytest.mark.parametrize("policy, replicates, pin", [
+        (LrdPolicy(value=0.0, boundary="lt"), 4097,
+         (89, "-0x1.216de9216de92p-3", "0x1.199805b9369fcp+4")),
+        (LrdPolicy(value=0.0, boundary="lt"), 10000,
+         (244, "0x1.563886594af4fp-2", "0x1.193f8f9c2b749p+4")),
+        (LrdPolicy(kind="fraction_of_group_mean", value=0.05, boundary="lt"), 4097,
+         (8, "-0x1.85e7a185e7a18p-5", "0x1.eb5f5f6c4d65dp+3")),
+        (LrdPolicy(kind="fraction_of_group_mean", value=0.05, boundary="lt"), 10000,
+         (21, "0x1.48e8a71de69adp-2", "0x1.ec74794d07c55p+3")),
+        (LrdPolicy(value=0.2), 4097, (25, "0x1.bee411bee411cp-4", "0x1.da0cbe5b29601p+3")),
+        (LrdPolicy(value=0.2), 10000, (66, "0x1.6147ae147ae14p-2", "0x1.dad7d54a3b98dp+3")),
+    ])
+    def test_null_pinned(self, policy, replicates, pin):
+        # recorded when every draw was scored as a row of values by pair_counts
+        result = regional_permutation_test(platelet_donations(), policy,
+                                           replicates=replicates, seed=0)
+        assert (result.exceed_count, result.null_mean.hex(), result.null_sd.hex()) == pin
+
+    def test_memory_bound(self):
+        # scoring each group's chunks as float rows through pair_counts peaked at
+        # 1.13 MiB on this call; rank rows scored in bytes peak at 0.49 MiB
+        data, policy = platelet_donations(), LrdPolicy("fraction_of_group_mean", 0.05, "lt")
+        peak = traced_peak(lambda: regional_permutation_test(data, policy, seed=0))
+        assert peak < 0.8 * 2**20
 
     def test_deterministic(self):
         a = regional_permutation_test(self.data, replicates=1000, seed=7)

@@ -34,7 +34,9 @@ from lrdkendall import (
     var_extended_hat,
     z_score,
 )
-from lrdkendall.core import _SORT_MIN_N, DIRECTIONS, _sorted_counts, pair_counts
+from lrdkendall.core import (
+    _SORT_MIN_N, DIRECTIONS, _rank_bounds, _rank_scores, _sorted_counts, pair_counts,
+)
 from lrdkendall.inference import score_rows, tie_fraction
 
 int_values = st.lists(
@@ -129,6 +131,33 @@ def test_sort_route_matches_pair_score_and_the_lag_kernel(values, d, boundary):
     _, _, lag_u, lag_v = pair_counts(values[None, :], rule)
     assert u.dtype == lag_u.dtype and np.array_equal(u, lag_u)
     assert v.dtype == lag_v.dtype and np.array_equal(v, lag_v)
+
+
+# the values of one permutation null: tenths with duplicates and differences
+# that land on d, with +/-1e308, whose differences overflow, or values near
+# 1e16, where one ulp (2) exceeds every d
+null_values = st.one_of(
+    st.lists(st.one_of(tenths, st.sampled_from([1e308, -1e308])), min_size=2, max_size=12),
+    st.lists(st.integers(0, 8).map(lambda k: 1e16 + 2.0 * k), min_size=2, max_size=12),
+).map(np.array)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=null_values,
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 5),
+    d=st.integers(0, 10).map(lambda k: k / 10),
+    boundary=boundaries,
+    direction=st.sampled_from(DIRECTIONS),
+)
+def test_rank_scores_match_pair_counts(values, seed, m, d, boundary, direction):
+    # m permutations of the values, scored as ranks and as the values themselves
+    rule = LrdRule(d=d, boundary=boundary, direction=direction)
+    orders = np.random.default_rng(seed).permuted(np.tile(np.arange(len(values)), (m, 1)), axis=1)
+    rank, low, high = _rank_bounds(values, rule)
+    got = _rank_scores(rank[orders], low, high)
+    assert got.dtype == np.int64 and np.array_equal(got, pair_counts(values[orders], rule)[0])
 
 
 @given(rows=matrices, d=thresholds, boundary=boundaries)
