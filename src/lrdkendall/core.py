@@ -8,31 +8,32 @@ that drive every downstream variance formula.
 
 The package's pairwise array code is :func:`pair_counts`, which returns the
 score, the scoring pairs and the u/v exceedance counts of each row of an
-(m, n) matrix of series, in O(mn) memory, by one of two routes:
+(m, n) matrix of finite series, in O(mn) memory, by one of two routes:
 
 * The lag kernel walks the n(n-1)/2 pairs a block of time lags at a time.
   It serves the simulation chunks, whose many short rows share each numpy
   call, which no per-row sort can match, and every other batched call
-  (m > 1). It also takes single series shorter than a measured crossover
-  and one-directional rules, whose u and v depend on time order. Its
-  counters are bytes when a call takes fewer than 256 steps of lags, as
-  every chunk of short rows does, and int16 otherwise.
-* The sort route takes one long finite series under a symmetric rule,
-  such as the ``run_test`` of a long record. It counts u and v by binary
-  search over the sorted values and the score by merging time blocks
-  (Knight 1966), in O(n log^2 n) time.
+  (m > 1), as well as single series shorter than a measured crossover.
+  :func:`_lag_block` sizes its blocks so that every call takes fewer than
+  256 steps, and its per-position counters are bytes.
+* The sort route takes one long series under every rule, such as the
+  ``run_test`` of a long record. It counts u and v by the ranks of its
+  distinct values and the score by merging time blocks (Knight 1966), in
+  O(n log^2 n) time.
 
-Both give the same arrays, element for element. Series longer than
-:data:`MAX_SERIES_N` are refused. :func:`pair_score` is the scalar reference
-they are tested against.
+Both give the same score and scoring pairs. They give the same u and v
+under a symmetric rule, the only rule those counts are defined for. Series
+longer than :data:`MAX_SERIES_N` are refused. :func:`pair_score` is the
+scalar reference they are tested against.
 
 The module also owns :func:`_rank_bounds`, the pair rule restated over the
 ranks of a series' distinct values: which ranks each value scores +1 and
 -1 against. The sort route takes its bounds from it, and so do the
 permutation nulls, which permute one fixed set of values, so the bounds
 never change between draws. The exhaustive null builds its table of pair
-scores from them, and the sampled null scores each chunk of permuted rank
-rows by :func:`_rank_scores`, which compares bytes and counts S only.
+scores from them, and the sampled null scores the observed series and each
+chunk of permuted rank rows by :func:`_rank_scores`, which compares bytes
+in a lag loop sized by :func:`_lag_block` and counts S only.
 
 Conventions
 -----------
@@ -74,10 +75,10 @@ from .errors import AnalyticUnavailable, InputError, InsufficientData, real
 BOUNDARIES = ("leq", "lt")
 DIRECTIONS = ("symmetric", "positive_only", "negative_only")
 
-#: longest series a pairwise-kernel call accepts. It keeps n below 2**15, which
-#: the lag kernel's int16 counters need from 256 steps on (below that its byte
-#: counters suffice); batched rows of values always take that kernel. A single
-#: series at the cap takes the sort route, in about 20 ms.
+#: longest series a pairwise-kernel call accepts. It keeps n below 2**15, which the
+#: lag kernel's int16 sums over the block axis need, and the sort route's merge keys
+#: block * (n + 1) + rank below 2**31. A single series at the cap takes the sort
+#: route, in about 20 ms.
 MAX_SERIES_N = 11_239
 
 #: a single series at least this long takes the sort route of pair_counts: the
@@ -231,23 +232,36 @@ def _symmetric_only(rule: LrdRule, what: str) -> None:
                                   f"the permutation test for direction={rule.direction!r}")
 
 
+def _lag_block(n: int, m: int) -> int:
+    """Lags per step of a lag loop over m rows of n values.
+
+    About 2**15 compares per step, so a long series costs few numpy calls
+    per lag (8 lags at n = 4000) while a step stays cache-sized, but always
+    enough lags for fewer than 256 steps: a per-position counter gains at
+    most 1 per step, so a byte cannot wrap. At least 1, for n <= 1 or m = 0.
+    """
+    return max(1, -(-(n - 1) // 255), min(n - 1, 2**15 // max(1, n * m)))
+
+
 def pair_counts(rows: np.ndarray, rule: LrdRule):
     """Score, scoring pairs and exceedance counts of each row of an (m, n) matrix.
 
-    Each row is one series in time order. Over its n(n-1)/2 pairs i < j,
-    ``up`` counts the pairs that :func:`pair_score` scores +1 and ``down``
-    those it scores -1, so ``s = up - down`` and ``scoring = up + down``.
-    Works under every direction; a zero difference never scores. One
-    finite series (m = 1) of at least ``_SORT_MIN_N`` values under a
-    symmetric rule is counted by sorting, in O(n log^2 n) time; every other
-    call takes the lag kernel. Both give the same arrays.
+    Each row is one series of finite values in time order. Over its
+    n(n-1)/2 pairs i < j, ``up`` counts the pairs that :func:`pair_score`
+    scores +1 and ``down`` those it scores -1, so ``s = up - down`` and
+    ``scoring = up + down``. Works under every direction; a zero difference
+    never scores. One series (m = 1) of at least ``_SORT_MIN_N`` values is
+    counted by sorting, in O(n log^2 n) time; every other call takes the lag
+    kernel.
 
     ``u[k, i]`` counts the observations of row k that value i relevantly
     exceeds; ``v[k, i]`` counts those it relevantly falls below. Every
     relevantly different pair lands once in some u entry and once in
-    some v entry, so the row totals match. The variance formulas built
-    on these counts hold for the symmetric rule only; under the others
-    u and v are computed but mean nothing.
+    some v entry, so the row totals match. Both routes give the same u and
+    v under a symmetric rule, the only rule they and the variance formulas
+    built on them are defined for. Under a one-directional rule they are
+    returned but mean nothing: the sort route counts them without time
+    order, the lag kernel with it, so the two differ.
 
     Note:
         Under boundary "lt" at ``d = 0``, a pair of exactly equal values
@@ -266,8 +280,8 @@ def pair_counts(rows: np.ndarray, rule: LrdRule):
         over the groups of equal values, of size w_g.
 
     Args:
-        rows: Matrix of shape (m, n), one series per row, n at most
-            :data:`MAX_SERIES_N` (InputError beyond it).
+        rows: Matrix of shape (m, n) of finite values, one series per row,
+            n at most :data:`MAX_SERIES_N`; InputError otherwise.
         rule: Comparison policy.
 
     Returns:
@@ -281,25 +295,20 @@ def pair_counts(rows: np.ndarray, rule: LrdRule):
         (14, 40, 40)
     """
     _check_length(rows.shape[1])
+    if not np.isfinite(rows).all():
+        raise InputError("pair_counts requires finite values")
     m, n = rows.shape
-    if m == 1 and n >= _SORT_MIN_N and rule.direction == "symmetric" and np.isfinite(rows).all():
-        return _sorted_counts(rows[0].astype(float, copy=False), rule)
-    # lags per step: about 2**15 differences, so a long series costs few numpy
-    # calls per lag (8 lags at n = 4000) while a step stays cache-sized
-    block = max(1, min(n - 1, 2**15 // max(1, n * m)))
-    steps = -(-(n - 1) // block)
+    if m == 1 and n >= _SORT_MIN_N:
+        return _series_counts(rows[0].astype(float, copy=False), rule)
+    block = _lag_block(n, m)
     # the rows as columns, then NaN rows that no comparison counts
     pad = np.full((n + block, m), np.nan)
     pad[:n] = rows.T
     p0, p1 = pad.strides
     # rise/fall count the pairs where a value is the later one and went up/down,
-    # sink/lift those where it is the earlier one, one row per lag of a block;
-    # a cell gains at most 1 per step, so bytes hold it below 256 steps and
-    # int16 beyond, where MAX_SERIES_N keeps n below 2**15
-    kind = np.uint8 if steps < 256 else np.int16
-    rise, fall, sink, lift = counts = np.zeros((4, block, n + block, m), dtype=kind)
+    # sink/lift those where it is the earlier one, one row per lag of a block
+    rise, fall, sink, lift = counts = np.zeros((4, block, n + block, m), dtype=np.uint8)
     s0, s1, s2 = rise.strides
-    equal = np.zeros(m, dtype=np.int64)
     # a one-directional rule counts every move in its unthresholded direction
     d_up = 0.0 if rule.direction == "negative_only" else rule.d
     d_down = 0.0 if rule.direction == "positive_only" else rule.d
@@ -315,19 +324,21 @@ def pair_counts(rows: np.ndarray, rule: LrdRule):
             # includes 0, so equal values exceed each other but never score
             up = delta >= d_up if lt and d_up == rule.d else delta > d_up
             down = delta <= -d_down if lt and d_down == rule.d else delta < -d_down
-            if lt and rule.d == 0:
-                equal += np.count_nonzero(up & down, axis=(0, 1))
             up, down = up.view(np.uint8), down.view(np.uint8)  # byte counters add these uncast
             for counter, hits in ((rise, up), (fall, down)):  # [b, i] is counter[b, lag + i + b]
-                at_later = np.ndarray((block, t, m), kind, counter, lag * s1, (s0 + s1, s1, s2))
+                at_later = np.ndarray((block, t, m), np.uint8, counter, lag * s1, (s0 + s1, s1, s2))
                 at_later += hits
             sink[:, :t] += up
             lift[:, :t] += down
-    # each total is below n; one lag per step needs no sum over the block axis
+    # each total is below n < 2**15; one lag per step needs no sum over the block axis
     rise, fall, sink, lift = (c[0, :n] if block == 1 else c.sum(axis=0, dtype=np.int16)[:n]
                               for c in counts)
-    n_up = rise.sum(axis=0, dtype=np.int64) - equal
-    n_down = fall.sum(axis=0, dtype=np.int64) - equal
+    n_up, n_down = rise.sum(axis=0, dtype=np.int64), fall.sum(axis=0, dtype=np.int64)
+    if lt and rule.d == 0:
+        # a finite difference is >= 0 or <= 0, and an overflow is +/-inf, never NaN,
+        # so every pair was counted once, and each pair of equal values twice
+        equal = n_up + n_down - n * (n - 1) // 2
+        n_up, n_down = n_up - equal, n_down - equal
     u, v = np.add(rise, lift, dtype=np.int64), np.add(fall, sink, dtype=np.int64)
     return n_up - n_down, n_up + n_down, u.T, v.T
 
@@ -347,13 +358,6 @@ def _prefix_end(guess, holds, top: int):
     while (step := (k > 0) & ~holds(np.maximum(k - 1, 0))).any():
         k = k - step
     return k
-
-
-def _sorted_counts(x: np.ndarray, rule: LrdRule):
-    """:func:`pair_counts` of one finite series under a symmetric rule, by sorting."""
-    u, v, rank, low, high = _value_counts(x, rule)
-    up, down = _merged_pairs(rank, low, high)
-    return np.array([up - down]), np.array([up + down]), u[None, :], v[None, :]
 
 
 def _rank_bounds(x: np.ndarray, rule: LrdRule):
@@ -384,14 +388,15 @@ def _rank_bounds(x: np.ndarray, rule: LrdRule):
     return rank, low, high
 
 
-def _value_counts(x: np.ndarray, rule: LrdRule):
-    """u and v of one series under a symmetric rule, then each observation's
-    rank and :func:`_rank_bounds`.
+def _series_counts(x: np.ndarray, rule: LrdRule):
+    """:func:`pair_counts` of one series, by sorting.
 
     Value q relevantly exceeds the observations of rank below ``low[q]`` and
-    falls below those of rank ``high[q]`` or more, so no time order is
-    needed. The ranks and bounds are int32, which halves the memory of the
-    merge passes.
+    falls below those of rank ``high[q]`` or more, so u and v need no time
+    order; under a one-directional rule they differ from the lag kernel's,
+    which are time-ordered, but neither is defined there. The score and the
+    scoring pairs are merged over int32 ranks and bounds, which halves the
+    memory of the merge passes.
     """
     n = len(x)
     rank, low, high = _rank_bounds(x, rule)
@@ -402,7 +407,8 @@ def _value_counts(x: np.ndarray, rule: LrdRule):
     else:
         u, v = below_n[low], n - below_n[high]
     rank = rank.astype(np.int32)
-    return u[rank], v[rank], rank, low.astype(np.int32)[rank], high.astype(np.int32)[rank]
+    up, down = _merged_pairs(rank, low.astype(np.int32)[rank], high.astype(np.int32)[rank])
+    return np.array([up - down]), np.array([up + down]), u[rank][None, :], v[rank][None, :]
 
 
 def _merged_pairs(rank, low, high) -> tuple[int, int]:
@@ -437,19 +443,17 @@ def _rank_scores(rows: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndar
 
     Rows of at least ``_MERGE_MIN_N`` ranks are merged one at a time
     (:func:`_merged_pairs`). Shorter ones take a lag loop over the rows as
-    columns, a block of lags per step as in :func:`pair_counts`, in bytes:
-    each step compares the earlier ranks with the later bounds and adds the
-    hits to per-position counters. A counter cell gains at most 1 per step,
-    and a block spans enough lags to keep the steps below 256, so byte
-    counters cannot wrap.
+    columns, a block of :func:`_lag_block` lags per step as in the lag
+    kernel of :func:`pair_counts`: each step compares the earlier ranks with
+    the later bounds and adds the hits to per-position byte counters. A
+    permutation null scores its observed series here too, as one row.
     """
     m, n = rows.shape
     if n >= _MERGE_MIN_N:
         rows, low, high = rows.astype(np.int32), low.astype(np.int32), high.astype(np.int32)
         return np.array([np.subtract(*_merged_pairs(r, low[r], high[r])) for r in rows],
                         dtype=np.int64)
-    # about 2**15 compares per step, as in pair_counts, but fewer than 256 steps
-    block = max(-(-(n - 1) // 255), min(n - 1, 2**15 // (n * m)))
+    block = _lag_block(n, m)
     kind = np.uint8 if len(low) < 256 else np.uint16  # high reaches len(low)
     rank = rows.T.astype(kind, order="C")
     # the later bounds, then rows that no rank falls below or reaches

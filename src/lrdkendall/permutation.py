@@ -6,7 +6,9 @@ rules, whose analytic variance is not derived.
 
 Both nulls permute one fixed set of values, so they score in rank space:
 core._rank_bounds finds once, per series or group, which ranks each value
-scores +1 and -1 against, by the pair rule of core.pair_counts.
+scores +1 and -1 against, by the pair rule of core.pair_counts. The
+observed score is read from the same bounds: the identity ordering in the
+exhaustive null, one row of the unpermuted ranks in the sampled one.
 
 Sampled draws follow the seeding contract, which the :mod:`lrdkendall.seeds`
 docstring states with this module's row cost, cap and keys. Each chunk
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LrdRule, Series, _rank_bounds, _rank_scores, s_extended
+from .core import LrdRule, Series, _check_length, _rank_bounds, _rank_scores
 from .errors import InputError, integral
 from .inference import SIDEDNESS
 from .regional import LrdPolicy, RegionalDataset, _group_rules
@@ -76,23 +78,28 @@ def _check_args(sidedness: str, replicates, seed) -> tuple[int, int]:
     return check_replicates(replicates), integral(seed, "seed")
 
 
-def _sampled_null(groups, replicates: int, seed: int) -> np.ndarray:
-    """Summed scores of ``replicates`` sampled draws over equal-length groups.
+def _sampled_null(groups, replicates: int, seed: int) -> tuple[int, np.ndarray]:
+    """(observed, null): the summed score of equal-length groups as given,
+    and the summed scores of ``replicates`` sampled draws.
 
     ``groups`` holds (key, values, rule) triples. Each group's values are
     permuted independently, in the chunks of the stream keyed ``key``.
+    Groups longer than core.MAX_SERIES_N are refused.
     """
     n = len(groups[0][1])
+    _check_length(n)
+    observed = 0
     total = np.zeros(replicates, dtype=np.int64)
     for key, values, rule in groups:
         rank, low, high = _rank_bounds(values, rule)
+        observed += int(_rank_scores(rank[None, :], low, high)[0])
         scores = []
         for rng, m in chunks(seed, key, replicates, n * (n - 1), 4096):
             rows = np.tile(rank, (m, 1))
             rng.permuted(rows, axis=1, out=rows)
             scores.append(_rank_scores(rows, low, high))
         total += np.concatenate(scores)
-    return total
+    return observed, total
 
 
 def _ordering_scores(values: np.ndarray, rule: LrdRule) -> np.ndarray:
@@ -185,8 +192,7 @@ def permutation_test(
     if method == "auto":
         method = "exhaustive" if n <= EXHAUSTIVE_MAX_N else "sampled"
     if method == "sampled":
-        s_obs = s_extended(series, rule)
-        null_s = _sampled_null([(("perm",), series.values, rule)], replicates, seed)
+        s_obs, null_s = _sampled_null([(("perm",), series.values, rule)], replicates, seed)
     elif n > EXHAUSTIVE_MAX_N:
         raise InputError(
             f"exhaustive enumeration supports n <= {EXHAUSTIVE_MAX_N}, got {n}"
@@ -215,9 +221,7 @@ def regional_permutation_test(
         policy = LrdPolicy()
     replicates, seed = _check_args(sidedness, replicates, seed)
 
-    rules = _group_rules(data, policy)
-    s_obs = sum(s_extended(data.groups[label], rule) for label, rule in rules.items())
     groups = [(("regional", label), data.groups[label].values, rule)
-              for label, rule in rules.items()]
-    null_s = _sampled_null(groups, replicates, seed)
+              for label, rule in _group_rules(data, policy).items()]
+    s_obs, null_s = _sampled_null(groups, replicates, seed)
     return _result(null_s, s_obs, sidedness, "sampled", seed)

@@ -73,7 +73,8 @@ class TestTestCommand:
         assert f"n = {len(values)} is longer than" in capsys.readouterr().err
 
     def test_json_of_a_long_series_matches_the_double_loop(self, capsys, tmp_path):
-        # 3000 points take the sort route of core.pair_counts
+        # 3000 points take the sort route of core.pair_counts, as any single
+        # series of 256 or more does under every rule
         values = (np.round(np.cumsum(np.random.default_rng(6).normal(size=3000)), 1) + 95).tolist()
         path = tmp_path / "long.csv"
         path.write_text("t,v\n" + "".join(f"{i},{x!r}\n" for i, x in enumerate(values)))

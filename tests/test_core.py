@@ -11,9 +11,11 @@ from lrdkendall import (
     InputError,
     InsufficientData,
     LrdRule,
+    RegionalDataset,
     Series,
     pair_score,
     permutation_test,
+    regional_permutation_test,
     run_test,
     s_extended,
     tie_proportion,
@@ -171,6 +173,24 @@ class TestPairCounts:
                    for i in range(len(values)) for j in range(i + 1, len(values)))
         assert run_test(Series.from_values(values), rule).s_extended == want == -2
 
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 1), (0, 5), (1, 0)])
+    def test_degenerate_shapes_count_nothing(self, shape):
+        m, n = shape
+        for rule in (LrdRule(d=0.0), LrdRule(d=0.0, boundary="lt")):
+            got = pair_counts(np.zeros(shape), rule)
+            assert [(a.shape, a.dtype) for a in got] == [((m,), np.int64)] * 2 + [((m, n), np.int64)] * 2
+            assert not any(a.any() for a in got)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("shape", [(1, 10), (1, 300), (4, 10)])
+    def test_non_finite_values_refused(self, bad, shape):
+        # a single row below and above the sort route's crossover, and a batch
+        rows = np.zeros(shape)
+        rows[-1, 3] = bad
+        for rule in (LrdRule(d=0.5), LrdRule(d=0.0, boundary="lt", direction="positive_only")):
+            with pytest.raises(InputError, match="finite"):
+                pair_counts(rows, rule)
+
     def test_several_lag_blocks_match_brute_force(self):
         # two rows of n = 400 take 40 lags per block, so the pairs span ten blocks;
         # half-unit values put many differences exactly on d
@@ -188,7 +208,7 @@ class TestPairCounts:
                     assert np.array_equal(v[k], hit.sum(axis=1))
 
     def test_single_series_holds_no_n_squared_array(self):
-        # the sort route, up to the length cap, and the lag kernel (one-directional)
+        # the sort route, up to the length cap, under symmetric and one-directional rules
         for n, rule in ((3000, LrdRule(d=0.5)), (MAX_SERIES_N, LrdRule(d=0.5)),
                         (MAX_SERIES_N, LrdRule(d=0.0, boundary="lt")),
                         (3000, LrdRule(d=0.5, direction="positive_only"))):
@@ -237,8 +257,9 @@ def oracle_counts(values, rule):
 
 
 class TestCounterWidth:
-    """The lag kernel's counters are bytes below 256 steps and int16 beyond, where
-    a byte would wrap silently; a cell gains at most 1 per step."""
+    """The lag kernel's counters are bytes at every shape: a cell gains at most 1
+    per step, and core._lag_block takes enough lags per step to keep the steps
+    below 256, where a byte would wrap silently."""
 
     RULES = (LrdRule(d=0.0), LrdRule(d=1.0, boundary="lt"), LrdRule(d=0.0, boundary="lt"))
 
@@ -247,7 +268,7 @@ class TestCounterWidth:
         for rule in self.RULES:
             got = pair_counts(distinct[pick], rule)
             assert all(a.dtype == np.int64 for a in got)
-            want = [oracle_counts(list(x), rule) for x in distinct]
+            want = [oracle_counts(x.tolist(), rule) for x in distinct]  # floats overflow to inf quietly
             for k, row in enumerate(pick):
                 s, scoring, u, v = want[row]
                 assert (got[0][k], got[1][k]) == (s, scoring)
@@ -255,13 +276,25 @@ class TestCounterWidth:
 
     @pytest.mark.parametrize("n", [256, 257, 300])
     def test_batched_rows_on_both_sides_of_the_switch(self, n):
-        # 128 rows take one lag per step, so n - 1 steps: bytes at n = 256, where the
-        # last value of a monotone row counts 255, and int16 at 257 and 300
+        # 128 rows take one lag per step at n = 256, so 255 steps, where the last
+        # value of a monotone row counts 255; at 257 and 300 they take two lags
+        # per step, since one would need 256 or more steps
+        assert core._lag_block(n, 128) == (1 if n == 256 else 2)
         distinct = np.array([np.arange(n), -np.arange(n),
                              np.random.default_rng(n).integers(0, 20, n)], dtype=float)
         pick = np.arange(128) % 3
         assert pair_counts(distinct[pick], LrdRule(d=0.0))[2].max() == n - 1
         self.assert_oracle(distinct, pick)
+
+    @pytest.mark.parametrize("n", [30, 257])
+    def test_batched_duplicates_with_overflowing_differences(self, n):
+        # lt at 0 finds its equal pairs from the totals; +/-1e308 among a few
+        # duplicated values make differences that overflow to +/-inf, not NaN
+        rng = np.random.default_rng(n)
+        distinct = rng.integers(0, 4, (3, n)).astype(float)
+        distinct[rng.random((3, n)) < 0.2] = 1e308
+        distinct[rng.random((3, n)) < 0.2] = -1e308
+        self.assert_oracle(distinct, np.arange(64) % 3)
 
     def test_single_series_of_duplicates_under_lt_at_zero(self):
         # below the sort route's crossover, 128 lags per step; each value of the
@@ -273,18 +306,33 @@ class TestCounterWidth:
 class TestSortRoute:
     def assert_same(self, x, rules):
         """pair_counts of x alone, which must take the sort route, equals row 0
-        of pair_counts of [x, x], which always takes the lag kernel."""
+        of pair_counts of [x, x], which always takes the lag kernel: s and
+        scoring under every rule, u and v under symmetric rules, where alone
+        they are defined."""
         for rule in rules:
-            with mock.patch.object(core, "_sorted_counts", wraps=core._sorted_counts) as sort:
+            with mock.patch.object(core, "_series_counts", wraps=core._series_counts) as sort:
                 routed = pair_counts(x[None, :], rule)
             assert sort.call_count == 1
-            for got, want in zip(routed, pair_counts(np.vstack([x, x]), rule)):
+            compared = 4 if rule.direction == "symmetric" else 2
+            for got, want in zip(routed[:compared], pair_counts(np.vstack([x, x]), rule)):
                 assert got.dtype == want.dtype and np.array_equal(got, want[:1])
 
     def test_long_walk_matches_the_lag_kernel(self):
         x = np.round(np.cumsum(np.random.default_rng(3).normal(size=3000)), 1) + 95
         self.assert_same(x, [LrdRule(d=d, boundary=boundary)
                              for d in (0.0, 0.1, 0.6) for boundary in ("leq", "lt")])
+
+    @pytest.mark.parametrize("direction", ["positive_only", "negative_only"])
+    def test_one_directional_rules_take_the_sort_route(self, direction):
+        rng = np.random.default_rng(4)
+        walk = np.round(np.cumsum(rng.normal(size=3000)), 1) + 95
+        extremes = np.round(rng.normal(size=600), 1)
+        extremes[rng.random(600) < 0.1] = 1e308
+        extremes[rng.random(600) < 0.1] = -1e308
+        near_1e16 = 1e16 + 2.0 * rng.integers(0, 300, 600)
+        for x in (walk, extremes, near_1e16):
+            self.assert_same(x, [LrdRule(d=d, boundary=boundary, direction=direction)
+                                 for d in (0.0, 0.6, 3.0) for boundary in BOUNDARIES])
 
     def test_overflowing_differences_exceed_every_d(self):
         # +/-1e308 among small values: differences overflow to +/-inf, and a
@@ -304,7 +352,7 @@ class TestSortRoute:
                 rule = LrdRule(d=d, boundary=boundary)
                 self.assert_same(x, [rule])
                 with mock.patch.object(core, "_exceeds", wraps=core._exceeds) as tests:
-                    core._sorted_counts(x, rule)
+                    core._series_counts(x, rule)
                 # four checks that find each guess right, and at most a step or two
                 assert tests.call_count <= 6
 
@@ -416,3 +464,9 @@ class TestMemoryBound:
         ):
             with pytest.raises(InputError, match=f"n = {TOO_LONG_N} is longer than"):
                 call(series, rule)
+
+    def test_regional_permutation_test_refuses_long_groups(self):
+        series = too_long()
+        data = RegionalDataset(groups={"a": series, "b": Series(series.times, -series.values)})
+        with pytest.raises(InputError, match=f"n = {TOO_LONG_N} is longer than"):
+            regional_permutation_test(data, replicates=10)

@@ -17,7 +17,9 @@ from lrdkendall import (
     permutation_test,
     platelet_donations,
     regional_permutation_test,
+    regional_test,
     run_test,
+    s_extended,
 )
 
 from lrdkendall.core import BOUNDARIES, DIRECTIONS, pair_counts
@@ -168,6 +170,19 @@ class TestSampled:
         result = permutation_test(series, rule, replicates=200, seed=0)
         assert result.s_observed == run_test(series, rule).s_extended
 
+    @pytest.mark.parametrize("n", [30, 300, 1500])
+    def test_observed_score_is_s_extended_under_every_rule(self, n):
+        # read from the null's rank bounds: the lag loop below 1500, merged from there
+        rng = np.random.default_rng(n)
+        values = np.round(np.cumsum(rng.normal(size=n)), 1)
+        values[rng.random(n) < 0.1] = 1e308
+        values[rng.random(n) < 0.1] = -1e308
+        series = Series.from_values(values)
+        for rule in (LrdRule(d=d, boundary=boundary, direction=direction)
+                     for d in (0.0, 0.5) for boundary in BOUNDARIES for direction in DIRECTIONS):
+            result = permutation_test(series, rule, replicates=1, seed=0, method="sampled")
+            assert result.s_observed == s_extended(series, rule)
+
     def test_one_directional_rule_accepted(self):
         # the analytic path refuses these; permutation is the fallback
         rule = LrdRule(d=0.6, direction="positive_only")
@@ -317,6 +332,15 @@ class TestRegionalPermutation:
         policy = LrdPolicy(value=0.5)
         result = regional_permutation_test(self.data, policy, replicates=500, seed=0)
         assert result.s_observed == regional_test(self.data, policy).s_regional
+
+    @pytest.mark.parametrize("policy", [
+        LrdPolicy(value=0.2), LrdPolicy(value=0.0, boundary="lt"),
+        LrdPolicy(kind="fraction_of_group_mean", value=0.05, boundary="lt"),
+    ])
+    def test_observed_is_the_regional_score_of_the_panel(self, policy):
+        data = platelet_donations()
+        result = regional_permutation_test(data, policy, replicates=10, seed=0)
+        assert result.s_observed == regional_test(data, policy).s_regional
 
     def test_mirrored_groups_give_p_one(self):
         times = np.arange(4.0)
