@@ -16,10 +16,10 @@ score, the scoring pairs and the u/v exceedance counts of each row of an
   (m > 1), as well as single series shorter than a measured crossover.
   :func:`_lag_block` sizes its blocks so that every call takes fewer than
   256 steps, and its per-position counters are bytes.
-* The sort route takes one long series under every rule, such as the
+* The sort route takes one longer series under every rule, such as the
   ``run_test`` of a long record. It counts u and v by the ranks of its
-  distinct values and the score by merging time blocks (Knight 1966), in
-  O(n log^2 n) time.
+  distinct values, and the score and scoring pairs by :func:`_rank_scores`
+  of those ranks as one row.
 
 Both give the same score and scoring pairs. They give the same u and v
 under a symmetric rule, the only rule those counts are defined for. Series
@@ -31,9 +31,9 @@ ranks of a series' distinct values: which ranks each value scores +1 and
 -1 against. The sort route takes its bounds from it, and so do the
 permutation nulls, which permute one fixed set of values, so the bounds
 never change between draws. The exhaustive null builds its table of pair
-scores from them, and the sampled null scores the observed series and each
-chunk of permuted rank rows by :func:`_rank_scores`, which compares bytes
-in a lag loop sized by :func:`_lag_block` and counts S only.
+scores from them; the sort route and the sampled null score rows of ranks by
+:func:`_rank_scores`, which alone chooses, from the row count and length,
+between merging time blocks (Knight 1966) and comparing bytes in a lag loop.
 
 Conventions
 -----------
@@ -76,18 +76,20 @@ BOUNDARIES = ("leq", "lt")
 DIRECTIONS = ("symmetric", "positive_only", "negative_only")
 
 #: longest series a pairwise-kernel call accepts. It keeps n below 2**15, which the
-#: lag kernel's int16 sums over the block axis need, and the sort route's merge keys
-#: block * (n + 1) + rank below 2**31. A single series at the cap takes the sort
-#: route, in about 20 ms.
+#: lag kernel's int16 sums over the block axis need, and _merged_pairs' keys
+#: block * (n + 1) + rank below 2**31. A single series at the cap takes about 5 ms.
 MAX_SERIES_N = 11_239
 
-#: a single series at least this long takes the sort route of pair_counts: the
-#: measured crossover, below which the lag kernel's fewer numpy calls win
+#: a single series at least this long takes the sort route of pair_counts; the two
+#: routes tie near n = 170 on a warm heap, and the sort route wins from n = 192
 _SORT_MIN_N = 256
 
-#: a permutation row of ranks at least this long is merged rather than taking the
-#: lag loop of _rank_scores: the measured crossover of one full chunk
+#: rows of ranks in a batch at least this long are merged by _rank_scores rather than
+#: sharing its lag loop; one full permutation chunk ties near n = 1200 to 1400
 _MERGE_MIN_N = 1500
+
+#: a lone row of ranks at least this long is merged: a single series or an observed row
+_ROW_MERGE_MIN_N = 1000
 
 
 @dataclass(frozen=True)
@@ -251,8 +253,8 @@ def pair_counts(rows: np.ndarray, rule: LrdRule):
     scores +1 and ``down`` those it scores -1, so ``s = up - down`` and
     ``scoring = up + down``. Works under every direction; a zero difference
     never scores. One series (m = 1) of at least ``_SORT_MIN_N`` values is
-    counted by sorting, in O(n log^2 n) time; every other call takes the lag
-    kernel.
+    counted by its ranks (:func:`_series_counts`), in O(n log^2 n) time once
+    it is long enough to be merged; every other call takes the lag kernel.
 
     ``u[k, i]`` counts the observations of row k that value i relevantly
     exceeds; ``v[k, i]`` counts those it relevantly falls below. Every
@@ -389,14 +391,13 @@ def _rank_bounds(x: np.ndarray, rule: LrdRule):
 
 
 def _series_counts(x: np.ndarray, rule: LrdRule):
-    """:func:`pair_counts` of one series, by sorting.
+    """:func:`pair_counts` of one series, by ranks.
 
     Value q relevantly exceeds the observations of rank below ``low[q]`` and
     falls below those of rank ``high[q]`` or more, so u and v need no time
     order; under a one-directional rule they differ from the lag kernel's,
     which are time-ordered, but neither is defined there. The score and the
-    scoring pairs are merged over int32 ranks and bounds, which halves the
-    memory of the merge passes.
+    scoring pairs come from :func:`_rank_scores` of the ranks as one row.
     """
     n = len(x)
     rank, low, high = _rank_bounds(x, rule)
@@ -406,9 +407,8 @@ def _series_counts(x: np.ndarray, rule: LrdRule):
         u, v = below_n[high] - 1, n - 1 - below_n[low]
     else:
         u, v = below_n[low], n - below_n[high]
-    rank = rank.astype(np.int32)
-    up, down = _merged_pairs(rank, low.astype(np.int32)[rank], high.astype(np.int32)[rank])
-    return np.array([up - down]), np.array([up + down]), u[rank][None, :], v[rank][None, :]
+    up, down = _rank_scores(rank[None, :], low, high)
+    return up - down, up + down, u[rank][None, :], v[rank][None, :]
 
 
 def _merged_pairs(rank, low, high) -> tuple[int, int]:
@@ -431,28 +431,28 @@ def _merged_pairs(rank, low, high) -> tuple[int, int]:
         keys = np.sort(block[early] * span + rank[early])
         block = block[late]
         base = block * span
-        # blocks before this one are full, so their earlier halves hold block * width keys
-        up += int(np.searchsorted(keys, base + low[late]).sum() - width * block.sum())
-        down += int(width * (block + 1).sum() - np.searchsorted(keys, base + high[late]).sum())
+        # blocks before this one are full, so their earlier halves hold block * width keys;
+        # a sum ignores the order of its queries, and sorted ones are searched faster
+        up += int(np.searchsorted(keys, np.sort(base + low[late])).sum() - width * block.sum())
+        down += int(width * (block + 1).sum()
+                    - np.searchsorted(keys, np.sort(base + high[late])).sum())
         level += 1
     return up, down
 
 
 def _rank_scores(rows: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
-    """S of each row of an (m, n) matrix of ranks, scored by :func:`_rank_bounds`.
+    """(up, down): the pairs of each row of an (m, n) matrix of ranks that score
+    +1 and -1 by :func:`_rank_bounds`, as an int64 array of shape (2, m).
 
-    Rows of at least ``_MERGE_MIN_N`` ranks are merged one at a time
-    (:func:`_merged_pairs`). Shorter ones take a lag loop over the rows as
-    columns, a block of :func:`_lag_block` lags per step as in the lag
-    kernel of :func:`pair_counts`: each step compares the earlier ranks with
-    the later bounds and adds the hits to per-position byte counters. A
-    permutation null scores its observed series here too, as one row.
+    A lone row of ``_ROW_MERGE_MIN_N`` ranks or more, and each row of a batch of
+    ``_MERGE_MIN_N`` or more, is merged over int32 ranks (:func:`_merged_pairs`).
+    Shorter rows share a lag loop, :func:`_lag_block` lags per step, that compares
+    the earlier ranks with the later bounds into per-position byte counters.
     """
     m, n = rows.shape
-    if n >= _MERGE_MIN_N:
+    if n >= (_ROW_MERGE_MIN_N if m == 1 else _MERGE_MIN_N):
         rows, low, high = rows.astype(np.int32), low.astype(np.int32), high.astype(np.int32)
-        return np.array([np.subtract(*_merged_pairs(r, low[r], high[r])) for r in rows],
-                        dtype=np.int64)
+        return np.array([_merged_pairs(r, low[r], high[r]) for r in rows], dtype=np.int64).T
     block = _lag_block(n, m)
     kind = np.uint8 if len(low) < 256 else np.uint16  # high reaches len(low)
     rank = rows.T.astype(kind, order="C")
@@ -462,7 +462,7 @@ def _rank_scores(rows: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndar
     np.take(low.astype(kind), rank, out=below[:n])
     np.take(high.astype(kind), rank, out=above[:n])
     p0, p1 = below.strides
-    up, down = np.zeros((2, block, n, m), dtype=np.uint8)
+    up, down = counts = np.zeros((2, block, n, m), dtype=np.uint8)
     for lag in range(1, n, block):
         t = n - lag
         for counter, bound, hits in ((up, below, np.less), (down, above, np.greater_equal)):
@@ -470,8 +470,7 @@ def _rank_scores(rows: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndar
             later = np.ndarray((block, t, m), kind, bound, lag * p0, (p0, p0, p1))
             counter[:, :t] += hits(rank[:t], later).view(np.uint8)
     # a row has fewer than n * n / 2 pairs, far below 2**31; int32 sums bytes faster
-    s = up.sum(axis=(0, 1), dtype=np.int32) - down.sum(axis=(0, 1), dtype=np.int32)
-    return s.astype(np.int64)
+    return counts.sum(axis=(1, 2), dtype=np.int32).astype(np.int64)
 
 
 def s_extended(series: Series, rule: LrdRule) -> int:

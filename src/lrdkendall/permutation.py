@@ -13,11 +13,12 @@ exhaustive null, one row of the unpermuted ranks in the sampled one.
 Sampled draws follow the seeding contract, which the :mod:`lrdkendall.seeds`
 docstring states with this module's row cost, cap and keys. Each chunk
 permutes int64 rows of the ranks, which takes the same draws as permuting
-the values, and core._rank_scores counts S alone from byte compares, or by
-merging when rows are long. At n = 30 a call of 10 000 draws takes about
-8 ms, against about 15 ms when each chunk was scored as rows of values by
-pair_counts, which also counted the u/v tallies the null discards; about
-half of what is left is the permuting itself.
+the values. core._rank_scores, which also scores the observed row, counts
+each row's pairs that score +1 and -1, S being their difference, by byte
+compares or, for long rows, by merging. At n = 30 a call of 10 000 draws
+takes about 8 ms, against about 15 ms when each chunk was scored as rows of
+values by pair_counts, which also counted the u/v tallies the null
+discards; about half of what is left is the permuting itself.
 
 For n <= 8 the test scores all n! orderings instead and the p-value
 is exact, with no randomness at all. It builds no n!-by-n matrix of
@@ -92,12 +93,12 @@ def _sampled_null(groups, replicates: int, seed: int) -> tuple[int, np.ndarray]:
     total = np.zeros(replicates, dtype=np.int64)
     for key, values, rule in groups:
         rank, low, high = _rank_bounds(values, rule)
-        observed += int(_rank_scores(rank[None, :], low, high)[0])
+        observed += int(np.subtract(*_rank_scores(rank[None, :], low, high))[0])
         scores = []
         for rng, m in chunks(seed, key, replicates, n * (n - 1), 4096):
             rows = np.tile(rank, (m, 1))
             rng.permuted(rows, axis=1, out=rows)
-            scores.append(_rank_scores(rows, low, high))
+            scores.append(np.subtract(*_rank_scores(rows, low, high)))
         total += np.concatenate(scores)
     return observed, total
 

@@ -15,7 +15,9 @@ integral over a finite angle (Drezner & Wesolowsky 1990; Genz 2004)
 whose smooth integrand a fixed Gauss-Legendre rule evaluates to
 rounding. Tabulated densities are handled with trapezoid sums on a
 refined grid, which limits their accuracy to roughly the grid
-resolution.
+resolution. Each sum is taken on the table rescaled by the power of two
+at or below its width and scaled back exactly, so no product of density
+values over- or underflows on a table far from unit width.
 """
 
 from __future__ import annotations
@@ -124,22 +126,23 @@ class ErrorDensity:
     def tabulated(cls, grid_x, grid_f) -> "ErrorDensity":
         return cls(kind="tabulated", grid_x=np.asarray(grid_x), grid_f=np.asarray(grid_f))
 
-    def _cum(self) -> np.ndarray:
-        """The tabulated CDF at grid_x, by the trapezoid rule."""
-        f = self.grid_f
-        steps = np.diff(self.grid_x) * (f[1:] + f[:-1]) / 2.0
-        cum = np.concatenate(([0.0], np.cumsum(steps)))
-        return cum / cum[-1]
-
 
 # ── difference density and moments ──────────────────────────────────────
 
 
-def _dense_grid(density: ErrorDensity) -> np.ndarray:
-    # refine the native grid so trapezoid error is dominated by the input data
-    x = density.grid_x
-    n = max(4001, 8 * len(x))
-    return np.linspace(x[0], x[-1], n)
+def _unit_table(density: ErrorDensity) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+    """(x, f, c, dense): the table rescaled to (grid_x / c, grid_f * c), for the
+    power of two c at or below its width, and a refined grid over it.
+
+    Every tabulated integral is taken on this table, of width in [1, 2), and
+    scaled back by a power of c, so no product of density values over- or
+    underflows; a power of two scales exactly, so nothing else changes. The
+    refined grid keeps the trapezoid error below that of the input data.
+    """
+    x, f = density.grid_x, density.grid_f
+    c = math.ldexp(1.0, math.frexp(float(x[-1] - x[0]))[1] - 1)
+    x, f = x / c, f * c
+    return x, f, c, np.linspace(x[0], x[-1], max(4001, 8 * len(x)))
 
 
 def diff_density(density: ErrorDensity, d: float) -> float:
@@ -166,11 +169,11 @@ def diff_density(density: ErrorDensity, d: float) -> float:
     if density.kind == "uniform":
         w = density.upper - density.lower
         return (w - a) / w / w if a < w else 0.0
-    x = _dense_grid(density)
-    fx = np.interp(x, density.grid_x, density.grid_f, left=0.0, right=0.0)
+    x, f, c, dense = _unit_table(density)
+    fx = np.interp(dense, x, f, left=0.0, right=0.0)
     with np.errstate(over="ignore"):  # interp at +inf gives the edge value, 0
-        fxa = np.interp(x + a, density.grid_x, density.grid_f, left=0.0, right=0.0)
-    return float(np.trapezoid(fx * fxa, x))
+        fxa = np.interp(dense + a / c, x, f, left=0.0, right=0.0)
+    return float(np.trapezoid(fx * fxa, dense)) / c
 
 
 def moments(density: ErrorDensity, d: float) -> MomentSet:
@@ -225,21 +228,25 @@ def moments(density: ErrorDensity, d: float) -> MomentSet:
         )
         return MomentSet(above_two, above_two, above_below, above_one)
 
-    x = _dense_grid(density)
-    fx = np.interp(x, density.grid_x, density.grid_f, left=0.0, right=0.0)
-    cum = density._cum()
+    # probabilities, so the rescaled table's moments need no scaling back
+    x, f, c, dense = _unit_table(density)
+    d = d / c
+    fx = np.interp(dense, x, f, left=0.0, right=0.0)
+    # the CDF at x, by the trapezoid rule
+    cum = np.concatenate(([0.0], np.cumsum(np.diff(x) * (f[1:] + f[:-1]) / 2.0)))
+    cum /= cum[-1]
 
     def cum_at(t):
-        return np.clip(np.interp(t, density.grid_x, cum, left=0.0, right=1.0), 0.0, 1.0)
+        return np.clip(np.interp(t, x, cum, left=0.0, right=1.0), 0.0, 1.0)
 
     with np.errstate(over="ignore"):  # interp at +-inf gives the edge value, 0 or 1
-        lo_t = cum_at(x - d)
-        hi_t = 1.0 - cum_at(x + d)
+        lo_t = cum_at(dense - d)
+        hi_t = 1.0 - cum_at(dense + d)
     return MomentSet(
-        above_two=float(np.trapezoid(fx * lo_t**2, x)),
-        below_two=float(np.trapezoid(fx * hi_t**2, x)),
-        above_below=float(np.trapezoid(fx * lo_t * hi_t, x)),
-        above_one=float(np.trapezoid(fx * lo_t, x)),
+        above_two=float(np.trapezoid(fx * lo_t**2, dense)),
+        below_two=float(np.trapezoid(fx * hi_t**2, dense)),
+        above_below=float(np.trapezoid(fx * lo_t * hi_t, dense)),
+        above_one=float(np.trapezoid(fx * lo_t, dense)),
     )
 
 
@@ -393,21 +400,21 @@ def power_gain_condition(density: ErrorDensity) -> GainCondition:
             "uniform edges have no square-integrable derivative"
         )
     if density.kind == "normal":
-        # the sigma = 1 masses divided by sigma, sigma^2 and sigma^3: beyond the
-        # float range a mass is 0 or inf, and the verdict is the sigma = 1 one
-        s = density.sigma
+        # the masses at sigma = 1
+        scale = density.sigma
         squared = 1.0 / (2.0 * _SQRT_PI)
         cubed = 1.0 / (2.0 * math.pi * math.sqrt(3.0))
         deriv = 1.0 / (4.0 * _SQRT_PI)
-        holds = squared * cubed > deriv / 6.0
-        squared, cubed, deriv = squared / s, cubed / s / s, deriv / s / s / s
     else:
-        x, f = density.grid_x, density.grid_f
+        # the masses of the table rescaled by c (see _unit_table)
+        x, f, scale, _ = _unit_table(density)
         squared = float(np.trapezoid(f**2, x))
         cubed = float(np.trapezoid(f**3, x))
-        df = np.gradient(f, x)
-        deriv = float(np.trapezoid(df**2, x))
-        holds = squared * cubed > deriv / 6.0
+        deriv = float(np.trapezoid(np.gradient(f, x) ** 2, x))
+    # the masses divided by the scale, its square and its cube: beyond the float
+    # range a mass is 0 or inf, and the verdict is the one before scaling back
+    holds = squared * cubed > deriv / 6.0
+    squared, cubed, deriv = squared / scale, cubed / scale / scale, deriv / scale / scale / scale
     return GainCondition(
         holds=holds,
         lhs=squared * cubed,

@@ -332,6 +332,20 @@ class TestRegionalCommand:
 
 
 class TestPowerCommand:
+    @pytest.mark.parametrize("width", ["1e200", "1e-300"])
+    def test_triangles_far_from_unit_width_run_clean(self, tmp_path, width):
+        # g(0) of these underflowed to 0, or overflowed to a NaN drift and exit 2
+        path = tmp_path / "d.csv"
+        path.write_text(f"x,f\n-{width},0\n0,{1 / float(width)!r}\n{width},0\n")
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "lrdkendall.cli",
+             "power", "--density", f"file:{path}", "--d-grid", "0:1:1", "--format", "json"],
+            env=child_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        g0 = json.loads(done.stdout)["points"][0]["density_at_d"]
+        assert g0 == pytest.approx(2 / 3 / float(width), rel=1e-6)
+
     def test_normal_curve(self, capsys):
         code, raw = run_cli(
             capsys, "power", "--density", "normal:1", "--slope", "0.5",
@@ -635,6 +649,14 @@ PUBLIC_NAMES = [
 ]
 
 
+def child_env(**extra) -> dict:
+    """The environment of a child Python process that imports this checkout's package."""
+    src = os.path.dirname(os.path.dirname(lrdkendall.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ), **extra)
+
+
 class TestImportPath:
     def test_public_surface_is_pinned(self):
         assert PUBLIC_NAMES == sorted(set(PUBLIC_NAMES)) and len(PUBLIC_NAMES) == 55
@@ -664,18 +686,33 @@ class TestImportPath:
             "print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith('scipy')),\n"
             f"                  [m for m in {unloaded!r} if m in sys.modules]]))\n"
         )
-        src = os.path.dirname(os.path.dirname(lrdkendall.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p
-        ))
         done = subprocess.run(
             [sys.executable, "-c", script],
-            env=env, capture_output=True, text=True, timeout=120, check=True,
+            env=child_env(), capture_output=True, text=True, timeout=120, check=True,
         )
         codes, scipy_modules, loaded = json.loads(done.stdout)
         assert codes == [0, 0, 0, 0]
         assert scipy_modules == []
         assert loaded == []
+
+    def test_outputs_do_not_depend_on_the_hash_seed(self, series_path, tmp_path):
+        # the tier-1 twin of CI's smoke-grid cmp under PYTHONHASHSEED=1
+        def run(hash_seed):
+            out = tmp_path / f"grid{hash_seed}.csv"
+            calls = [["simulate", "--config", os.path.abspath("configs/smoke_grid.json"),
+                      "--out", str(out)],
+                     ["test", series_path, "--method", "permutation", "--seed", "7",
+                      "--format", "json"]]
+            stdouts = [subprocess.run(
+                [sys.executable, "-W", "error::RuntimeWarning", "-m", "lrdkendall.cli", *argv],
+                env=child_env(PYTHONHASHSEED=hash_seed), capture_output=True, timeout=120,
+                check=True,
+            ).stdout for argv in calls]
+            return out.read_bytes(), *stdouts
+
+        first = run("0")
+        assert first[1] and first[2].startswith(b"{")
+        assert run("1") == first
 
 
 #: values that sit at or beyond the edges of float arithmetic

@@ -357,18 +357,32 @@ class TestSortRoute:
                 assert tests.call_count <= 6
 
 
-class TestRankScores:
-    """Permutation rows scored in rank space, by _rank_scores over _rank_bounds,
-    against pair_counts of the same rows of values."""
+def lag_kernel_counts(rows, rule):
+    """(s, scoring) of each row of a matrix of values, by pair_counts of the rows
+    and a copy of the first, so that even a single row takes the lag kernel."""
+    s, scoring, _, _ = pair_counts(np.vstack([rows, rows[:1]]), rule)
+    return s[:-1], scoring[:-1]
 
-    def scores(self, values, orders, rule):
+
+class TestRankScores:
+    """Rows scored in rank space, by _rank_scores over _rank_bounds, against the
+    lag kernel of pair_counts over the same rows of values."""
+
+    def assert_counts(self, values, orders, rule, merges):
+        """_rank_scores of values[orders] gives the lag kernel's s as up - down and
+        its scoring pairs as up + down, in int64, after ``merges`` merged rows."""
         rank, low, high = core._rank_bounds(values, rule)
-        return core._rank_scores(rank[orders], low, high)
+        with mock.patch.object(core, "_merged_pairs", wraps=core._merged_pairs) as merge:
+            up, down = core._rank_scores(rank[orders], low, high)
+        assert merge.call_count == merges
+        assert up.dtype == down.dtype == np.int64
+        s, scoring = lag_kernel_counts(values[orders], rule)
+        assert np.array_equal(up - down, s) and np.array_equal(up + down, scoring)
 
     @pytest.mark.parametrize("n", [core._MERGE_MIN_N - 1, core._MERGE_MIN_N])
     @pytest.mark.parametrize("kind", ["walk", "extremes", "near 1e16"])
     def test_rows_on_both_sides_of_the_crossover(self, n, kind):
-        # from _MERGE_MIN_N on, each row is merged; the lag loop takes shorter ones
+        # from _MERGE_MIN_N on, each row of a batch is merged; the lag loop takes shorter ones
         rng = np.random.default_rng(n)
         values = np.round(np.cumsum(rng.normal(size=n)), 1)
         if kind == "extremes":  # differences overflow to +/-inf
@@ -379,11 +393,32 @@ class TestRankScores:
         orders = rng.permuted(np.tile(np.arange(n), (2, 1)), axis=1)
         for rule in (LrdRule(d=d, boundary=boundary, direction=direction)
                      for d in (0.0, 1.0) for boundary in BOUNDARIES for direction in DIRECTIONS):
-            with mock.patch.object(core, "_merged_pairs", wraps=core._merged_pairs) as merge:
-                got = self.scores(values, orders, rule)
-            assert merge.call_count == (2 if n >= core._MERGE_MIN_N else 0)
-            assert got.dtype == np.int64
-            assert np.array_equal(got, pair_counts(values[orders], rule)[0])
+            self.assert_counts(values, orders, rule, 2 if n >= core._MERGE_MIN_N else 0)
+
+    @pytest.mark.parametrize("n", [core._ROW_MERGE_MIN_N - 1, core._ROW_MERGE_MIN_N,
+                                   core._MERGE_MIN_N - 1, core._MERGE_MIN_N])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_one_predicate_routes_lone_rows_and_batches(self, n, m):
+        # a lone row is merged from _ROW_MERGE_MIN_N on, the rows of a batch from _MERGE_MIN_N
+        rng = np.random.default_rng(n)
+        values = np.round(np.cumsum(rng.normal(size=n)), 1)
+        orders = rng.permuted(np.tile(np.arange(n), (m, 1)), axis=1)
+        merged = n >= (core._ROW_MERGE_MIN_N if m == 1 else core._MERGE_MIN_N)
+        for rule in (LrdRule(d=0.6), LrdRule(d=0.0, boundary="lt"),
+                     LrdRule(d=0.6, direction="positive_only")):
+            self.assert_counts(values, orders, rule, m if merged else 0)
+
+    @pytest.mark.parametrize("n", [core._SORT_MIN_N, core._ROW_MERGE_MIN_N - 1,
+                                   core._ROW_MERGE_MIN_N])
+    def test_a_single_series_is_merged_by_the_same_predicate(self, n):
+        # pair_counts of one series reaches _rank_scores as one row
+        x = np.round(np.cumsum(np.random.default_rng(n).normal(size=n)), 1)
+        rule = LrdRule(d=0.6)
+        with mock.patch.object(core, "_merged_pairs", wraps=core._merged_pairs) as merge:
+            s, scoring, _, _ = pair_counts(x[None, :], rule)
+        assert merge.call_count == (1 if n >= core._ROW_MERGE_MIN_N else 0)
+        want_s, want_scoring = lag_kernel_counts(x[None, :], rule)
+        assert np.array_equal(s, want_s) and np.array_equal(scoring, want_scoring)
 
     @pytest.mark.parametrize("n", [255, 256, 257])
     def test_byte_counters_on_both_sides_of_their_switch(self, n):
@@ -396,7 +431,10 @@ class TestRankScores:
         want = [oracle_s(list(values[order])) for order in distinct]
         assert want[:2] == [n * (n - 1) // 2, -n * (n - 1) // 2]
         pick = np.arange(128) % 3
-        assert self.scores(values, distinct[pick], LrdRule(d=0.0)).tolist() == [want[k] for k in pick]
+        rank, low, high = core._rank_bounds(values, LrdRule(d=0.0))
+        up, down = core._rank_scores(rank[distinct[pick]], low, high)
+        assert (up - down).tolist() == [want[k] for k in pick]
+        assert (up + down == n * (n - 1) // 2).all()  # distinct values, d = 0: every pair scores
 
 
 class TestUvCounts:

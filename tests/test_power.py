@@ -298,3 +298,32 @@ class TestGainCondition:
         assert gain.holds
         assert gain.lhs == pytest.approx(exact.lhs, rel=1e-3)
         assert gain.rhs == pytest.approx(exact.rhs, rel=1e-3)
+
+
+class TestTablesFarFromUnitWidth:
+    """Tabulated integrals are taken on the table rescaled by a power of two, so a
+    table's width neither overflows nor underflows a product of density values."""
+
+    # five points of unit trapezoid mass, not symmetric
+    X = np.array([-1.0, 0.0, 0.5, 1.0, 3.0])
+    F = np.array([0.0, 0.5, 0.5, 0.3, 0.0])
+
+    @pytest.mark.parametrize("k", [600, -600])
+    def test_power_of_two_scale_is_exact(self, k):
+        scale = 2.0**k
+        unit = ErrorDensity.tabulated(self.X, self.F)
+        far = ErrorDensity.tabulated(self.X * scale, self.F / scale)
+        for d in (0.0, 0.4, 1.0, 5.0):
+            assert diff_density(far, d * scale) == diff_density(unit, d) / scale
+            assert moments(far, d * scale) == moments(unit, d)
+        one, gain = power_gain_condition(unit), power_gain_condition(far)
+        assert gain.holds == one.holds
+        assert gain.squared_mass == one.squared_mass / scale
+
+    @pytest.mark.parametrize("width", [1e200, 1e-120, 1e-300])
+    def test_triangles_keep_the_unit_triangle_verdict(self, width):
+        # at 1e200 f * f underflowed, at 1e-120 and 1e-300 it overflowed
+        unit = ErrorDensity.tabulated([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0])
+        far = ErrorDensity.tabulated([-width, 0.0, width], [0.0, 1.0 / width, 0.0])
+        assert diff_density(far, 0.0) == pytest.approx(2 / 3 / width, rel=1e-6)
+        assert power_gain_condition(far).holds == power_gain_condition(unit).holds is True

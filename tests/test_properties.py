@@ -35,7 +35,8 @@ from lrdkendall import (
     z_score,
 )
 from lrdkendall.core import (
-    _SORT_MIN_N, DIRECTIONS, _rank_bounds, _rank_scores, _series_counts, pair_counts,
+    _SORT_MIN_N, BOUNDARIES, DIRECTIONS, _merged_pairs, _rank_bounds, _rank_scores,
+    _series_counts, pair_counts,
 )
 from lrdkendall.inference import score_rows, tie_fraction
 
@@ -162,8 +163,30 @@ def test_rank_scores_match_pair_counts(values, seed, m, d, boundary, direction):
     rule = LrdRule(d=d, boundary=boundary, direction=direction)
     orders = np.random.default_rng(seed).permuted(np.tile(np.arange(len(values)), (m, 1)), axis=1)
     rank, low, high = _rank_bounds(values, rule)
-    got = _rank_scores(rank[orders], low, high)
-    assert got.dtype == np.int64 and np.array_equal(got, pair_counts(values[orders], rule)[0])
+    up, down = _rank_scores(rank[orders], low, high)
+    s, scoring, _, _ = pair_counts(values[orders], rule)
+    assert up.dtype == down.dtype == np.int64
+    assert np.array_equal(up - down, s) and np.array_equal(up + down, scoring)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.one_of(null_values, sort_series),
+    d=st.integers(0, 10).map(lambda k: k / 10),
+)
+def test_merged_pairs_match_pair_score(values, d):
+    # the merge called directly, on _rank_bounds' bounds as int32, from n = 2 on:
+    # pair_counts merges only long series, which no double loop could check
+    n, floats = len(values), values.tolist()  # Python floats overflow to inf with no warning
+    for boundary in BOUNDARIES:
+        for direction in DIRECTIONS:
+            rule = LrdRule(d=d, boundary=boundary, direction=direction)
+            rank, low, high = _rank_bounds(values, rule)
+            rank = rank.astype(np.int32)
+            up, down = _merged_pairs(rank, low.astype(np.int32)[rank], high.astype(np.int32)[rank])
+            scores = [pair_score(floats[i], floats[j], rule)
+                      for i in range(n) for j in range(i + 1, n)]
+            assert (up, down) == (scores.count(1), scores.count(-1))
 
 
 @given(rows=matrices, d=thresholds, boundary=boundaries)
