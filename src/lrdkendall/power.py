@@ -13,11 +13,13 @@ triple-comparator moments are bivariate normal orthant probabilities at
 correlation +1/2 and -1/2, written as Phi(-h)^2 plus a one-dimensional
 integral over a finite angle (Drezner & Wesolowsky 1990; Genz 2004)
 whose smooth integrand a fixed Gauss-Legendre rule evaluates to
-rounding. Tabulated densities are handled with trapezoid sums on a
-refined grid, which limits their accuracy to roughly the grid
-resolution. Each sum is taken on the table rescaled by the power of two
-at or below its width and scaled back exactly, so no product of density
-values over- or underflows on a table far from unit width.
+rounding. A tabulated density is read as piecewise linear between its
+knots. Its gain-condition masses are exact closed forms per segment;
+g(d) and the moments are still trapezoid sums on a refined grid, which
+limits their accuracy to roughly the grid resolution. Each integral is
+taken on the table rescaled by the power of two at or below its width
+and scaled back exactly, so no product of density values over- or
+underflows on a table far from unit width.
 """
 
 from __future__ import annotations
@@ -382,10 +384,10 @@ def power_gain_condition(density: ErrorDensity) -> GainCondition:
     Parameters
     ----------
     density : ErrorDensity
-        Must be differentiable: normal uses closed forms; tabulated uses
-        finite differences at the native grid resolution; uniform is
-        rejected (its derivative is a pair of boundary spikes with no
-        square-integrable version).
+        Must be differentiable: normal uses closed forms; tabulated is
+        integrated exactly as piecewise linear, segment by segment, with
+        a constant slope on each; uniform is rejected (its derivative is
+        a pair of boundary spikes with no square-integrable version).
 
     Returns
     -------
@@ -406,11 +408,13 @@ def power_gain_condition(density: ErrorDensity) -> GainCondition:
         cubed = 1.0 / (2.0 * math.pi * math.sqrt(3.0))
         deriv = 1.0 / (4.0 * _SQRT_PI)
     else:
-        # the masses of the table rescaled by c (see _unit_table)
+        # the masses of the table rescaled by c (see _unit_table), segment by
+        # segment from f = a to f = b over a width h
         x, f, scale, _ = _unit_table(density)
-        squared = float(np.trapezoid(f**2, x))
-        cubed = float(np.trapezoid(f**3, x))
-        deriv = float(np.trapezoid(np.gradient(f, x) ** 2, x))
+        h, a, b = np.diff(x), f[:-1], f[1:]
+        squared = float(np.sum(h * (a * a + a * b + b * b)) / 3.0)
+        cubed = float(np.sum(h * (a + b) * (a * a + b * b)) / 4.0)
+        deriv = float(np.sum((b - a) ** 2 / h))
     # the masses divided by the scale, its square and its cube: beyond the float
     # range a mass is 0 or inf, and the verdict is the one before scaling back
     holds = squared * cubed > deriv / 6.0

@@ -148,6 +148,13 @@ class TestTestCommand:
         code, raw = run_cli(capsys, "test", str(path), "--method", "exhaustive", "--format", "json")
         assert code == 0
         assert json.loads(raw)["p"] == pytest.approx(2 / 24)
+        # all 8! orders of eight values
+        path.write_text("t,v\n0,95.2\n1,98.6\n2,95.8\n3,100.7\n4,94.9\n5,92.8\n6,101.5\n7,99.0\n")
+        code, raw = run_clean(capsys, "test", str(path), "--lrd", "0.6",
+                              "--method", "exhaustive", "--format", "json")
+        assert code == 0
+        payload = json.loads(raw)
+        assert (payload["draws"], payload["exceed_count"]) == (40320, 32508)
 
     def test_directional_needs_permutation(self, capsys, series_path):
         code, _ = run_cli(capsys, "test", series_path, "--direction", "pos")
@@ -517,6 +524,7 @@ class TestSimulateCommand:
             {"d_ratios": "01"},
             {"d_ratios": 5},
             {"sample_sizes": []},
+            {"sd_bases": [1e200], "trends": [{"theta": 0.0, "p": 2}]},  # sd_base ** p overflows
         ]:
             path.write_text(json.dumps(dict(config, **change)))
             assert main(["simulate", "--config", str(path)]) == 2, change
@@ -623,13 +631,15 @@ class TestExitCodes:
             main(["frobnicate"])
         assert err.value.code == 2
 
-    def test_invalid_moments_is_statistical_failure(self, capsys, tmp_path):
-        # a tabulated density with corrupt normalization should surface as
-        # a statistical error (3), not a usage error
+    def test_unnormalized_density_file_is_usage_error(self, capsys, tmp_path):
+        # a table of mass 2 is refused when the density is built, before any
+        # moment is computed, so it is a usage error (2), not a statistical one
         path = tmp_path / "density.csv"
         path.write_text("x,f\n0,1\n1,1\n2,1\n")
-        code, _ = run_cli(capsys, "power", "--density", f"file:{path}")
-        assert code in (2, 3)  # rejected before any curve is computed
+        assert main(["power", "--density", f"file:{path}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: tabulated density integrates to 2.0, not 1")
+        assert err.count("\n") == 1
 
 
 #: the package's public names; a name added or removed is a reviewed change here
@@ -650,7 +660,8 @@ PUBLIC_NAMES = [
 
 
 def child_env(**extra) -> dict:
-    """The environment of a child Python process that imports this checkout's package."""
+    """The environment of a child Python process that imports the package this
+    process imported: the checkout's src/, or an installed copy."""
     src = os.path.dirname(os.path.dirname(lrdkendall.__file__))
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
@@ -696,7 +707,8 @@ class TestImportPath:
         assert loaded == []
 
     def test_outputs_do_not_depend_on_the_hash_seed(self, series_path, tmp_path):
-        # the tier-1 twin of CI's smoke-grid cmp under PYTHONHASHSEED=1
+        # the smoke grid's CSV and a seeded permutation test, byte for byte under
+        # two hash seeds, each a child process that fails on a RuntimeWarning
         def run(hash_seed):
             out = tmp_path / f"grid{hash_seed}.csv"
             calls = [["simulate", "--config", os.path.abspath("configs/smoke_grid.json"),

@@ -299,6 +299,26 @@ class TestGainCondition:
         assert gain.lhs == pytest.approx(exact.lhs, rel=1e-3)
         assert gain.rhs == pytest.approx(exact.rhs, rel=1e-3)
 
+    # a table is read as piecewise linear, so its masses have exact closed forms
+    # per segment, worked out by hand here
+    @pytest.mark.parametrize(
+        "x, f, masses",
+        [
+            # the triangle 1 - |x|: 2/3, 1/2 and 2
+            ([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0], (2 / 3, 1 / 2, 2.0)),
+            # a trapezoid, flat on [-1, 1]: the ramps add 2/27, 1/54 and 2/9, the
+            # flat top 2/9, 2/27 and 0
+            ([-2.0, -1.0, 1.0, 2.0], [0.0, 1 / 3, 1 / 3, 0.0], (8 / 27, 5 / 54, 2 / 9)),
+        ],
+    )
+    def test_tabulated_masses_are_exact(self, x, f, masses):
+        gain = power_gain_condition(ErrorDensity.tabulated(x, f))
+        got = (gain.squared_mass, gain.cubed_mass, gain.derivative_mass)
+        assert got == pytest.approx(masses, rel=1e-15, abs=0)
+        assert gain.lhs == pytest.approx(masses[0] * masses[1], rel=1e-15, abs=0)
+        assert gain.rhs == pytest.approx(masses[2] / 6, rel=1e-15, abs=0)
+        assert gain.holds is (masses[0] * masses[1] > masses[2] / 6)
+
 
 class TestTablesFarFromUnitWidth:
     """Tabulated integrals are taken on the table rescaled by a power of two, so a
@@ -326,4 +346,7 @@ class TestTablesFarFromUnitWidth:
         unit = ErrorDensity.tabulated([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0])
         far = ErrorDensity.tabulated([-width, 0.0, width], [0.0, 1.0 / width, 0.0])
         assert diff_density(far, 0.0) == pytest.approx(2 / 3 / width, rel=1e-6)
-        assert power_gain_condition(far).holds == power_gain_condition(unit).holds is True
+        # the unit triangle ties, lhs = rhs = 1/3, and a tie fails the strict >
+        one = power_gain_condition(unit)
+        assert one.lhs == one.rhs == pytest.approx(1 / 3, rel=1e-15)
+        assert power_gain_condition(far).holds == one.holds is False

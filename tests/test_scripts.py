@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from lrdkendall.cli import main
+
 REPO = Path(__file__).resolve().parents[1]
 
 
@@ -27,6 +29,11 @@ class TestReproduceTables:
         assert "rejection rate  (normal, n=20, scale=15)" in text
         assert "tie proportion  (normal, n=20, scale=15)" in text
         assert len(out.read_text().splitlines()) == 5  # header + 4 cells
+        # the script writes the CLI's grid, byte for byte
+        cli_out = tmp_path / "cli.csv"
+        assert main(["simulate", "--config", config, "--replicates", "50", "--seed", "3",
+                     "--out", str(cli_out)]) == 0
+        assert out.read_bytes() == cli_out.read_bytes()
 
     def test_each_scale_gets_its_own_block(self, capsys, tmp_path):
         # scales rounded to 6 decimals merged 1e-7 and 3e-7 into one "scale=0"

@@ -361,6 +361,7 @@ class TestGridConfig:
         {"trends": [{"theta": 0.0, "p": 1.5}]},
         {"trends": [{"theta": "x", "p": 1}]},
         {"trends": [{"theta": 0.0, "p": 10**400}]},
+        {"sd_bases": [1e200], "trends": [{"theta": 0.0, "p": 2}]},  # sd_base ** p overflows
         {"alpha_level": "x"},
         {"distributions": "normal"},
         {"distributions": []},
