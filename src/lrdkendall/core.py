@@ -34,6 +34,13 @@ never change between draws. The exhaustive null builds its table of pair
 scores from them; the sort route and the sampled null score rows of ranks by
 :func:`_rank_scores`, which alone chooses, from the row count and length,
 between merging time blocks (Knight 1966) and comparing bytes in a lag loop.
+Under a symmetric rule whether a pair scores does not depend on which of its
+values comes first, so the scoring pairs are fixed by the values
+(:func:`_symmetric_scoring`, in O(n)), and either route counts only the pairs
+that score +1, taking the -1 pairs as the rest. At n = 4000 ``run_test``
+under a symmetric rule takes about 1.6 ms, and ``s_extended`` under a
+one-directional rule, which counts both sides, about 2.1 ms (shared 2-core
+Xeon, Python 3.11, numpy 2.4).
 
 Conventions
 -----------
@@ -77,18 +84,23 @@ DIRECTIONS = ("symmetric", "positive_only", "negative_only")
 
 #: longest series a pairwise-kernel call accepts. It keeps n below 2**15, which the
 #: lag kernel's int16 sums over the block axis need, and _merged_pairs' keys
-#: block * (n + 1) + rank below 2**31. A single series at the cap takes about 5 ms.
+#: block * (n + 1) + rank below 2**31. pair_counts of a single series at the cap
+#: takes about 3.5 ms under a symmetric rule, which merges one side only.
 MAX_SERIES_N = 11_239
 
-#: a single series at least this long takes the sort route of pair_counts; the two
-#: routes tie near n = 170 on a warm heap, and the sort route wins from n = 192
+#: a single series at least this long takes the sort route of pair_counts. On a fresh
+#: heap the sort route wins from n = 160 on, by 1.5-2x, under every rule; on a heap
+#: that has freed a large block the lag kernel wins below about 224 and the two tie
+#: near 256 (under lt at d = 0, near 160)
 _SORT_MIN_N = 256
 
 #: rows of ranks in a batch at least this long are merged by _rank_scores rather than
-#: sharing its lag loop; one full permutation chunk ties near n = 1200 to 1400
+#: sharing its lag loop; one full permutation chunk is merged faster from n = 1300 on,
+#: on a fresh heap or a warm one: by 3-13% under a symmetric rule, 17-23% otherwise
 _MERGE_MIN_N = 1500
 
-#: a lone row of ranks at least this long is merged: a single series or an observed row
+#: a lone row of ranks at least this long is merged: a single series or an observed row;
+#: the two routes tie near n = 950 to 1000, on a fresh heap or a warm one
 _ROW_MERGE_MIN_N = 1000
 
 
@@ -407,12 +419,13 @@ def _series_counts(x: np.ndarray, rule: LrdRule):
         u, v = below_n[high] - 1, n - 1 - below_n[low]
     else:
         u, v = below_n[low], n - below_n[high]
-    up, down = _rank_scores(rank[None, :], low, high)
+    up, down = _rank_scores(rank[None, :], low, high, _symmetric_scoring(rank, low, rule))
     return up - down, up + down, u[rank][None, :], v[rank][None, :]
 
 
-def _merged_pairs(rank, low, high) -> tuple[int, int]:
-    """(up, down): the pairs i < j with rank[i] < low[j], and those with rank[i] >= high[j].
+def _merged_pairs(rank, low, high=None) -> tuple[int, ...]:
+    """(up, down): the pairs i < j with rank[i] < low[j], and those with rank[i] >= high[j];
+    (up,) alone when ``high`` is None.
 
     One pass per power of two w: in each block of 2w time steps, every
     later-half observation counts its earlier-half partners by binary search
@@ -434,43 +447,73 @@ def _merged_pairs(rank, low, high) -> tuple[int, int]:
         # blocks before this one are full, so their earlier halves hold block * width keys;
         # a sum ignores the order of its queries, and sorted ones are searched faster
         up += int(np.searchsorted(keys, np.sort(base + low[late])).sum() - width * block.sum())
-        down += int(width * (block + 1).sum()
-                    - np.searchsorted(keys, np.sort(base + high[late])).sum())
+        if high is not None:
+            down += int(width * (block + 1).sum()
+                        - np.searchsorted(keys, np.sort(base + high[late])).sum())
         level += 1
-    return up, down
+    return (up,) if high is None else (up, down)
 
 
-def _rank_scores(rows: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
+def _symmetric_scoring(rank, low, rule: LrdRule) -> int | None:
+    """The pairs of the ranks ``rank`` that score under a symmetric ``rule``, in
+    every ordering of them; None under a one-directional rule.
+
+    Whether a symmetric rule scores a pair, +1 or -1, does not depend on which
+    of its values comes first, so the scoring pairs are the observations each
+    one relevantly exceeds, summed: O(n), by counting ranks. Under "lt" at
+    d = 0 they are the pairs of distinct values. A one-directional rule's
+    depend on the order.
+    """
+    if rule.direction != "symmetric":
+        return None
+    count = np.bincount(rank, minlength=len(low))
+    return int(count @ np.concatenate(([0], np.cumsum(count)))[low])
+
+
+def _rank_scores(rows: np.ndarray, low: np.ndarray, high: np.ndarray,
+                 scoring: int | None = None) -> np.ndarray:
     """(up, down): the pairs of each row of an (m, n) matrix of ranks that score
     +1 and -1 by :func:`_rank_bounds`, as an int64 array of shape (2, m).
 
-    A lone row of ``_ROW_MERGE_MIN_N`` ranks or more, and each row of a batch of
-    ``_MERGE_MIN_N`` or more, is merged over int32 ranks (:func:`_merged_pairs`).
-    Shorter rows share a lag loop, :func:`_lag_block` lags per step, that compares
-    the earlier ranks with the later bounds into per-position byte counters.
+    ``scoring`` is :func:`_symmetric_scoring` of the rows, which are orderings of
+    one set of ranks. Given, only the +1 side is counted, and down is scoring less
+    up; None counts both sides. A lone row of ``_ROW_MERGE_MIN_N`` ranks or more,
+    and each row of a batch of ``_MERGE_MIN_N`` or more, is merged over int32 ranks
+    (:func:`_merged_pairs`). Shorter rows share a lag loop, :func:`_lag_block` lags
+    per step, that compares the earlier ranks with the later bounds into
+    per-position byte counters.
     """
     m, n = rows.shape
+    bounds = (low,) if scoring is not None else (low, high)
     if n >= (_ROW_MERGE_MIN_N if m == 1 else _MERGE_MIN_N):
-        rows, low, high = rows.astype(np.int32), low.astype(np.int32), high.astype(np.int32)
-        return np.array([_merged_pairs(r, low[r], high[r]) for r in rows], dtype=np.int64).T
-    block = _lag_block(n, m)
-    kind = np.uint8 if len(low) < 256 else np.uint16  # high reaches len(low)
-    rank = rows.T.astype(kind, order="C")
-    # the later bounds, then rows that no rank falls below or reaches
-    below = np.zeros((n + block, m), dtype=kind)
-    above = np.full((n + block, m), np.iinfo(kind).max, dtype=kind)
-    np.take(low.astype(kind), rank, out=below[:n])
-    np.take(high.astype(kind), rank, out=above[:n])
-    p0, p1 = below.strides
-    up, down = counts = np.zeros((2, block, n, m), dtype=np.uint8)
-    for lag in range(1, n, block):
-        t = n - lag
-        for counter, bound, hits in ((up, below, np.less), (down, above, np.greater_equal)):
-            # later[b, i] is bound[lag + b + i], so [b, i] is pair (i, i + lag + b)
-            later = np.ndarray((block, t, m), kind, bound, lag * p0, (p0, p0, p1))
-            counter[:, :t] += hits(rank[:t], later).view(np.uint8)
-    # a row has fewer than n * n / 2 pairs, far below 2**31; int32 sums bytes faster
-    return counts.sum(axis=(1, 2), dtype=np.int32).astype(np.int64)
+        rows, bounds = rows.astype(np.int32), [b.astype(np.int32) for b in bounds]
+        counted = np.array([_merged_pairs(r, *(b[r] for b in bounds)) for r in rows],
+                           dtype=np.int64).T
+    else:
+        block = _lag_block(n, m)
+        kind = np.uint8 if len(low) < 256 else np.uint16  # high reaches len(low)
+        rank = rows.T.astype(kind, order="C")
+        counts = np.zeros((len(bounds), block, n, m), dtype=np.uint8)
+        # per side, its counter and the later bounds, then rows that no rank falls below or reaches
+        sides = []
+        for counter, bound, fill, hits in zip(counts, bounds, (0, np.iinfo(kind).max),
+                                              (np.less, np.greater_equal)):
+            later = np.empty((n + block, m), dtype=kind)
+            np.take(bound.astype(kind), rank, out=later[:n])
+            later[n:] = fill
+            sides.append((counter, later, hits))
+        p0, p1 = later.strides
+        for lag in range(1, n, block):
+            t = n - lag
+            for counter, later, hits in sides:
+                # at[b, i] is later[lag + b + i], so [b, i] is pair (i, i + lag + b)
+                at = np.ndarray((block, t, m), kind, later, lag * p0, (p0, p0, p1))
+                counter[:, :t] += hits(rank[:t], at).view(np.uint8)
+        # a row has fewer than n * n / 2 pairs, far below 2**31; int32 sums bytes faster
+        counted = counts.sum(axis=(1, 2), dtype=np.int32).astype(np.int64)
+    if scoring is None:
+        return counted
+    return np.concatenate((counted, scoring - counted))
 
 
 def s_extended(series: Series, rule: LrdRule) -> int:

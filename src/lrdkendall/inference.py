@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import LrdRule, Series, _symmetric_only, pair_counts, tie_fraction
 from .errors import InputError, _shown, extended_real, integral, real, real_array
-from .variance import _check_n, var_classical, var_extended_hat, tie_groups
+from .variance import _check_n, _classical, var_extended_hat
 
 # ── defaults ────────────────────────────────────────────────────────────
 
@@ -202,7 +202,7 @@ def run_test(
     n = len(series)
     s, scoring, variance, z = score_rows(series.values[None, :], rule, continuity)
     s_ex, scoring, variance, z = int(s[0]), int(scoring[0]), float(variance[0]), float(z[0])
-    vclass = var_classical(n, tie_groups(series.values))
+    vclass = _classical(n, np.unique(series.values, return_counts=True)[1])
     p = p_value(z, sidedness)  # infinite z falls out as p = 0 (or 1)
     pi_t = tie_fraction(scoring, n)
     tau_a, tau_b = tau_extended(s_ex, scoring, n)

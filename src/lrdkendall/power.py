@@ -412,9 +412,16 @@ def power_gain_condition(density: ErrorDensity) -> GainCondition:
         # segment from f = a to f = b over a width h
         x, f, scale, _ = _unit_table(density)
         h, a, b = np.diff(x), f[:-1], f[1:]
+        # the rescaling can underflow distinct knots to one: a flat segment there
+        # adds nothing, a step has no square-integrable derivative
+        if np.any((h == 0) & (a != b)):
+            raise AnalyticUnavailable(
+                "the gain condition needs a differentiable density; the table "
+                "steps between knots too close to tell apart at its width"
+            )
         squared = float(np.sum(h * (a * a + a * b + b * b)) / 3.0)
         cubed = float(np.sum(h * (a + b) * (a * a + b * b)) / 4.0)
-        deriv = float(np.sum((b - a) ** 2 / h))
+        deriv = float(np.sum(np.divide((b - a) ** 2, h, out=np.zeros_like(h), where=h > 0)))
     # the masses divided by the scale, its square and its cube: beyond the float
     # range a mass is 0 or inf, and the verdict is the one before scaling back
     holds = squared * cubed > deriv / 6.0

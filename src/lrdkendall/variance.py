@@ -68,9 +68,16 @@ def var_classical(n: int, ties: tuple[int, ...] = ()) -> float:
         total += w
         if total > n:
             raise InputError(f"tie extents sum to {total} > n={n}")
-    base = n * (n - 1) * (2 * n + 5)
-    corr = sum(w * (w - 1) * (2 * w + 5) for w in ties)
-    return (base - corr) / 18.0
+    return _classical(n, np.array(ties, dtype=object))
+
+
+def _classical(n: int, extents: np.ndarray) -> float:
+    """:func:`var_classical` of unchecked extents: an object array of ints, or
+    an int64 array, such as np.unique's counts, whose terms fit. An extent of 1
+    adds 0."""
+    def term(w):
+        return w * (w - 1) * (2 * w + 5)
+    return (term(n) - int(term(extents).sum())) / 18.0
 
 
 def _counts(u, v):

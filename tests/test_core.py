@@ -370,14 +370,16 @@ class TestRankScores:
 
     def assert_counts(self, values, orders, rule, merges):
         """_rank_scores of values[orders] gives the lag kernel's s as up - down and
-        its scoring pairs as up + down, in int64, after ``merges`` merged rows."""
+        its scoring pairs as up + down, in int64, after ``merges`` merged rows;
+        counting both sides and, under a symmetric rule, the +1 side alone."""
         rank, low, high = core._rank_bounds(values, rule)
-        with mock.patch.object(core, "_merged_pairs", wraps=core._merged_pairs) as merge:
-            up, down = core._rank_scores(rank[orders], low, high)
-        assert merge.call_count == merges
-        assert up.dtype == down.dtype == np.int64
         s, scoring = lag_kernel_counts(values[orders], rule)
-        assert np.array_equal(up - down, s) and np.array_equal(up + down, scoring)
+        for given in {None, core._symmetric_scoring(rank, low, rule)}:
+            with mock.patch.object(core, "_merged_pairs", wraps=core._merged_pairs) as merge:
+                up, down = core._rank_scores(rank[orders], low, high, given)
+            assert merge.call_count == merges
+            assert up.dtype == down.dtype == np.int64
+            assert np.array_equal(up - down, s) and np.array_equal(up + down, scoring)
 
     @pytest.mark.parametrize("n", [core._MERGE_MIN_N - 1, core._MERGE_MIN_N])
     @pytest.mark.parametrize("kind", ["walk", "extremes", "near 1e16"])
@@ -435,6 +437,43 @@ class TestRankScores:
         up, down = core._rank_scores(rank[distinct[pick]], low, high)
         assert (up - down).tolist() == [want[k] for k in pick]
         assert (up + down == n * (n - 1) // 2).all()  # distinct values, d = 0: every pair scores
+
+    @pytest.mark.parametrize("n", [999, 1000, 1499, 1500])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_symmetric_rules_count_one_side(self, n, m):
+        # under a symmetric rule the scoring pairs are fixed by the values, so
+        # the merge takes no high bound and the byte loop no >= compare; a
+        # one-directional rule counts both sides on either route
+        rng = np.random.default_rng(n)
+        values = np.round(np.cumsum(rng.normal(size=n)), 1)
+        orders = rng.permuted(np.tile(np.arange(n), (m, 1)), axis=1)
+        merged = n >= (core._ROW_MERGE_MIN_N if m == 1 else core._MERGE_MIN_N)
+        for rule, sides in ((LrdRule(d=0.6), 1), (LrdRule(d=0.0, boundary="lt"), 1),
+                            (LrdRule(d=0.6, direction="positive_only"), 2),
+                            (LrdRule(d=0.6, direction="negative_only"), 2)):
+            rank, low, high = core._rank_bounds(values, rule)
+            scoring = core._symmetric_scoring(rank, low, rule)
+            assert (scoring is None) == (sides == 2)
+            with mock.patch.object(core, "_merged_pairs", wraps=core._merged_pairs) as merge, \
+                    mock.patch.object(np, "greater_equal", wraps=np.greater_equal) as compare:
+                up, down = core._rank_scores(rank[orders], low, high, scoring)
+            assert merge.call_count == (m if merged else 0)
+            assert all(len(call.args) == 1 + sides for call in merge.call_args_list)
+            assert (compare.call_count > 0) == (sides == 2 and not merged)
+            assert up.dtype == down.dtype == np.int64
+            s, want_scoring = lag_kernel_counts(values[orders], rule)
+            assert np.array_equal(up - down, s) and np.array_equal(up + down, want_scoring)
+
+    def test_callers_pass_the_symmetric_scoring(self):
+        # a single series and both permutation scorings of one row at n = 1000 are
+        # merged, one side under a symmetric rule and both under a one-directional one
+        x = np.round(np.cumsum(np.random.default_rng(7).normal(size=1000)), 1)
+        for rule, sides in ((LrdRule(d=0.6), 1), (LrdRule(d=0.6, direction="positive_only"), 2)):
+            with mock.patch.object(core, "_merged_pairs", wraps=core._merged_pairs) as merge:
+                s = pair_counts(x[None, :], rule)[0]
+                result = permutation_test(Series.from_values(x), rule, replicates=1, seed=0)
+            assert result.s_observed == s[0]
+            assert [len(call.args) for call in merge.call_args_list] == [1 + sides] * 3
 
 
 class TestUvCounts:

@@ -350,3 +350,14 @@ class TestTablesFarFromUnitWidth:
         one = power_gain_condition(unit)
         assert one.lhs == one.rhs == pytest.approx(1 / 3, rel=1e-15)
         assert power_gain_condition(far).holds == one.holds is False
+
+    def test_knots_that_rescale_to_one_point(self):
+        # divided by c ~ 2**665, the two middle knots both read 0: a flat segment
+        # there adds nothing, where (b - a)**2 / h was 0 / 0
+        flat = ErrorDensity.tabulated([-1e200, 1e-300, 2e-300, 1e200], [0.0, 1e-200, 1e-200, 0.0])
+        triangle = ErrorDensity.tabulated([-1e200, 0.0, 1e200], [0.0, 1e-200, 0.0])
+        assert power_gain_condition(flat) == power_gain_condition(triangle)
+        # a step there has no square-integrable derivative
+        step = ErrorDensity.tabulated([-1e200, 0.0, 1e-300, 2e200], [0.0, 1e-200, 0.5e-200, 0.0])
+        with pytest.raises(AnalyticUnavailable, match="differentiable"):
+            power_gain_condition(step)

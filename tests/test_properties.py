@@ -36,7 +36,7 @@ from lrdkendall import (
 )
 from lrdkendall.core import (
     _SORT_MIN_N, BOUNDARIES, DIRECTIONS, _merged_pairs, _rank_bounds, _rank_scores,
-    _series_counts, pair_counts,
+    _series_counts, _symmetric_scoring, pair_counts,
 )
 from lrdkendall.inference import score_rows, tie_fraction
 
@@ -163,10 +163,12 @@ def test_rank_scores_match_pair_counts(values, seed, m, d, boundary, direction):
     rule = LrdRule(d=d, boundary=boundary, direction=direction)
     orders = np.random.default_rng(seed).permuted(np.tile(np.arange(len(values)), (m, 1)), axis=1)
     rank, low, high = _rank_bounds(values, rule)
-    up, down = _rank_scores(rank[orders], low, high)
     s, scoring, _, _ = pair_counts(values[orders], rule)
-    assert up.dtype == down.dtype == np.int64
-    assert np.array_equal(up - down, s) and np.array_equal(up + down, scoring)
+    # both sides counted, and under a symmetric rule the +1 side alone
+    for given in {None, _symmetric_scoring(rank, low, rule)}:
+        up, down = _rank_scores(rank[orders], low, high, given)
+        assert up.dtype == down.dtype == np.int64
+        assert np.array_equal(up - down, s) and np.array_equal(up + down, scoring)
 
 
 @settings(max_examples=300, deadline=None)
@@ -183,10 +185,33 @@ def test_merged_pairs_match_pair_score(values, d):
             rule = LrdRule(d=d, boundary=boundary, direction=direction)
             rank, low, high = _rank_bounds(values, rule)
             rank = rank.astype(np.int32)
-            up, down = _merged_pairs(rank, low.astype(np.int32)[rank], high.astype(np.int32)[rank])
+            low, high = low.astype(np.int32)[rank], high.astype(np.int32)[rank]
+            up, down = _merged_pairs(rank, low, high)
             scores = [pair_score(floats[i], floats[j], rule)
                       for i in range(n) for j in range(i + 1, n)]
             assert (up, down) == (scores.count(1), scores.count(-1))
+            assert _merged_pairs(rank, low) == (up,)  # the +1 side alone
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.one_of(null_values, sort_series),
+    seed=st.integers(0, 2**32 - 1),
+    d=st.sampled_from([0.0, 0.3, 1.0]),
+    boundary=boundaries,
+)
+def test_symmetric_scoring_is_fixed_by_the_values(values, seed, d, boundary):
+    # under a symmetric rule the scoring pairs read off the rank bounds are the
+    # double loop's, in every order of the values
+    rule = LrdRule(d=d, boundary=boundary)
+    rank, low, _ = _rank_bounds(values, rule)
+    scoring = _symmetric_scoring(rank, low, rule)
+    n, floats = len(values), values.tolist()  # Python floats overflow to inf with no warning
+    orders = np.random.default_rng(seed).permuted(np.tile(np.arange(n), (3, 1)), axis=1)
+    for order in [np.arange(n), *orders]:
+        x = [floats[k] for k in order]
+        pairs = sum(pair_score(x[i], x[j], rule) != 0 for i in range(n) for j in range(i + 1, n))
+        assert _symmetric_scoring(rank[order], low, rule) == scoring == pairs
 
 
 @given(rows=matrices, d=thresholds, boundary=boundaries)

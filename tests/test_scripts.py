@@ -148,6 +148,19 @@ class TestPowerCurveDemo:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    def test_knots_that_rescale_to_one_point(self, capsys, tmp_path):
+        # rescaled to unit width, the two middle knots underflow to one point; the
+        # gain masses divided 0 by 0 there, a RuntimeWarning that fails the test
+        gains = []
+        for name, rows in (("flat", "-1e200,0\n1e-300,1e-200\n2e-300,1e-200\n1e200,0\n"),
+                           ("triangle", "-1e200,0\n0,1e-200\n1e200,0\n")):
+            path = tmp_path / f"{name}.csv"
+            path.write_text("x,f\n" + rows)
+            script = load_script("power_curve_demo")
+            assert script.main(["--density", f"file:{path}"]) == 0
+            gains.append(capsys.readouterr().out.splitlines()[-1])
+        assert gains == ["gain condition fails: lhs=0.00000000 rhs=0.00000000"] * 2
+
     def test_undecodable_density_file_is_one_line_error(self, capsys, tmp_path):
         # ended in a UnicodeDecodeError traceback
         path = tmp_path / "density.csv"
