@@ -27,13 +27,13 @@ longer than :data:`MAX_SERIES_N` are refused. :func:`pair_score` is the
 scalar reference they are tested against.
 
 The module also owns :func:`_rank_bounds`, the pair rule restated over the
-ranks of a series' distinct values: which ranks each value scores +1 and
--1 against. The sort route takes its bounds from it, and so do the
-permutation nulls, which permute one fixed set of values, so the bounds
-never change between draws. The exhaustive null builds its table of pair
-scores from them; the sort route and the sampled null score rows of ranks by
-:func:`_rank_scores`, which alone chooses, from the row count and length,
-between merging time blocks (Knight 1966) and comparing bytes in a lag loop.
+ranks of a series' distinct values, by one threshold search: which ranks
+each value scores +1 and -1 against. The sort route takes its bounds from
+it, and so do the permutation nulls, which permute one fixed set of values,
+so the bounds never change between draws. The sort route and every null,
+sampled, regional or exhaustive, score rows of ranks by :func:`_rank_scores`,
+which alone chooses, from the row count and length, between merging time
+blocks (Knight 1966) and comparing bytes in a lag loop.
 Under a symmetric rule whether a pair scores does not depend on which of its
 values comes first, so the scoring pairs are fixed by the values
 (:func:`_symmetric_scoring`, in O(n)), and either route counts only the pairs
@@ -383,22 +383,24 @@ def _rank_bounds(x: np.ndarray, rule: LrdRule):
     ``low[r]`` and -1 against one of rank ``high[r]`` or more; the ranks in
     between tie with it. The bounds depend only on the values, so a
     permutation null finds them once and scores every draw by comparing ranks.
+
+    One threshold search gives ``bound``: rank r relevantly exceeds the ranks
+    below ``bound[r]`` and is relevantly exceeded by the ranks k with
+    ``bound[k] > r``, which, as ``bound`` ascends, start at ``high[r]`` =
+    searchsorted(bound, r, "right"). A one-directional rule scores every
+    nonzero move in its other direction, so that side's bound is r or r + 1.
+    At d = 0 ``bound`` is the ranks, as a value never scores against its equals.
     """
     values, rank = np.unique(x, return_inverse=True)
-    top = len(values)
-    if rule.boundary == "lt" and rule.d == 0:
-        # equal values exceed each other by 0 there, but never score
-        low = np.arange(top)
-        return rank, low, low + 1
-    # a one-directional rule counts every nonzero move in its unthresholded direction
-    free = (0.0, "leq")
-    rise = free if rule.direction == "negative_only" else (rule.d, rule.boundary)
-    fall = free if rule.direction == "positive_only" else (rule.d, rule.boundary)
-    with np.errstate(over="ignore"):  # an infinite difference exceeds every d
-        low = _prefix_end(np.searchsorted(values, values - rise[0]),
-                          lambda k: _exceeds(values - values[k], *rise), top)
-        high = _prefix_end(np.searchsorted(values, values + fall[0]),
-                           lambda k: ~_exceeds(values[k] - values, *fall), top)
+    bound = ranks = np.arange(len(values))
+    if rule.d > 0:
+        with np.errstate(over="ignore"):  # an infinite difference exceeds every d
+            bound = _prefix_end(np.searchsorted(values, values - rule.d),
+                                lambda k: _exceeds(values - values[k], rule.d, rule.boundary),
+                                len(values))
+    low = ranks if rule.direction == "negative_only" else bound
+    high = (ranks + 1 if rule.direction == "positive_only"
+            else np.searchsorted(bound, ranks, side="right"))
     return rank, low, high
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, InvalidMoments, _shown, integral
+from .errors import InputError, InvalidMoments, _shown, integral, real_array
 
 #: rounding in computed moments (the Gauss-Legendre orthant sum for normal
 #: errors, trapezoid sums for tabulated densities) can cross a range bound
@@ -32,9 +32,12 @@ def tie_groups(values) -> tuple[int, ...]:
     """Sizes of the groups of exactly equal values, smallest first.
 
     Only groups of 2 or more are reported; singletons do not correct
-    anything.
+    anything. Values other than a 1-d array of finite numbers raise InputError.
     """
-    _, counts = np.unique(np.asarray(values, dtype=float), return_counts=True)
+    x = real_array(values, "values")
+    if x.ndim != 1 or not np.isfinite(x).all():
+        raise InputError(f"values must be a 1-d array of finite numbers, got {_shown(values)}")
+    _, counts = np.unique(x, return_counts=True)
     return tuple(np.sort(counts[counts > 1]).tolist())
 
 

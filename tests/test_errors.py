@@ -24,6 +24,7 @@ from lrdkendall import (
     render_json,
     run_test,
     tau_extended,
+    tie_groups,
     var_classical,
     var_extended_from_moments,
     var_theoretical,
@@ -156,13 +157,18 @@ def test_tau_extended_refuses_inconsistent_counts(s_ex, scoring):
 
 
 # arguments wider than a finite scalar, with the NOT_NUMBERS that apply: z
-# may be infinite, and z_score takes arrays
+# may be infinite, and z_score and tie_groups take arrays
 WIDER = [
     ("z", lambda x: p_value(x), ["0.5", None, True, np.True_, [0.5], math.nan]),
     ("score", lambda x: z_score(x, 1.0),
      ["0.5", None, True, np.True_, np.array([True, False]), math.nan, math.inf]),
     ("variance", lambda x: z_score(1, x),
      ["0.5", None, True, np.True_, np.array([True, False]), math.nan, math.inf]),
+    # NaNs used to count as one tie group, None and True gave (), "abc" a bare
+    # ValueError, and a 2-d array was flattened
+    ("values", tie_groups,
+     ["abc", None, True, [True, False], 0.5, [math.nan, 1.0, math.nan], [1.0, math.inf],
+      [[1.0, 1.0], [2.0, 2.0]]]),
 ]
 
 
@@ -181,6 +187,7 @@ def test_wider_arguments_keep_what_is_valid():
     assert z_score([0.5], 1.0, continuity=False).tolist() == [0.5]
     assert z_score(1, [0.25], continuity=False).tolist() == [2.0]
     assert z_score(np.int64(5), np.float32(4.0)) == 2.0
+    assert tie_groups([2, 1.0, 2, 1, 2, 0.5]) == (2, 3) and tie_groups([]) == ()
 
 
 def test_real_takes_python_and_numpy_numbers_as_float():

@@ -25,7 +25,7 @@ from lrdkendall import (
 
 from lrdkendall import core
 from lrdkendall.core import BOUNDARIES, DIRECTIONS, pair_counts
-from lrdkendall.permutation import _ordering_scores
+from lrdkendall.permutation import _null, _orderings
 from lrdkendall.seeds import MAX_REPLICATES
 
 from test_core import DBP, too_long
@@ -93,7 +93,8 @@ class TestExhaustive:
         assert (result.exceed_count, result.p, result.null_mean.hex(), result.null_sd.hex()) == pin
 
     def test_memory_bound(self):
-        # the n!-row enumeration peaked at 17.8 MB on this call, prefix expansion at 3.4 MB
+        # the n!-row enumeration peaked at 17.8 MB on this call, prefix expansion of a
+        # pair-score table at 3.4 MB, one chunk of the orderings as byte rows at 4.0 MiB
         series = Series.from_values([95.2, 98.6, 95.8, 100.7, 94.9, 92.8, 101.5, 99.0])
         permutation_test(series, LrdRule(d=0.6))  # warm numpy's first-call caches
         tracemalloc.start()
@@ -128,11 +129,18 @@ def test_exhaustive_null_is_the_enumeration(values, d, boundary, direction):
     values = np.array(values)
     rule = LrdRule(d=d, boundary=boundary, direction=direction)
     want = pair_counts(np.array(list(itertools.permutations(values))), rule)[0]
-    got = _ordering_scores(values, rule)
+    observed, got = _null([(values, rule, _orderings)])
     # element for element, in itertools.permutations order, so the first is the observed S
-    assert got.dtype == np.int64 and np.array_equal(got, want)
+    assert got.dtype == np.int64 and np.array_equal(got, want) and observed == want[0]
     result = permutation_test(Series.from_values(values), rule)
     assert result.s_observed == want[0] and result.draws == len(want)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_orderings_are_itertools_permutations(n):
+    [rows] = _orderings(np.arange(n))
+    assert rows.dtype == np.int8
+    assert rows.tolist() == [list(p) for p in itertools.permutations(range(n))]
 
 
 class TestSampled:

@@ -151,6 +151,27 @@ null_values = st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(
+    values=st.one_of(null_values, sort_series),
+    extra=st.lists(st.sampled_from([-0.0, 5e-324]), max_size=2),
+    d=st.one_of(st.integers(0, 10).map(lambda k: k / 10), st.just(1e300)),
+)
+def test_rank_bounds_match_pair_score(values, extra, d):
+    # the table of ordered pair scores of the distinct values, read off the bounds:
+    # rank k, the earlier value, against rank r, the later one
+    x = np.concatenate((values, extra))
+    distinct = np.unique(x).tolist()
+    ranks = np.arange(len(distinct))[:, None]
+    for boundary in BOUNDARIES:
+        for direction in DIRECTIONS:
+            rule = LrdRule(d=d, boundary=boundary, direction=direction)
+            _, low, high = _rank_bounds(x, rule)
+            got = (ranks < low).astype(int) - (ranks >= high)
+            want = [[pair_score(a, b, rule) for b in distinct] for a in distinct]
+            assert got.tolist() == want, rule
+
+
+@settings(max_examples=300, deadline=None)
+@given(
     values=null_values,
     seed=st.integers(0, 2**32 - 1),
     m=st.integers(1, 5),
