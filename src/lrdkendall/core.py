@@ -32,8 +32,8 @@ each value scores +1 and -1 against. The sort route takes its bounds from
 it, and so do the permutation nulls, which permute one fixed set of values,
 so the bounds never change between draws. The sort route and every null,
 sampled, regional or exhaustive, score rows of ranks by :func:`_rank_scores`,
-which alone chooses, from the row count and length, between merging time
-blocks (Knight 1966) and comparing bytes in a lag loop.
+which alone chooses from the row length, however many rows, between merging
+time blocks (Knight 1966) and comparing bytes in a lag loop.
 Under a symmetric rule whether a pair scores does not depend on which of its
 values comes first, so the scoring pairs are fixed by the values
 (:func:`_symmetric_scoring`, in O(n)), and either route counts only the pairs
@@ -88,20 +88,16 @@ DIRECTIONS = ("symmetric", "positive_only", "negative_only")
 #: takes about 3.5 ms under a symmetric rule, which merges one side only.
 MAX_SERIES_N = 11_239
 
-#: a single series at least this long takes the sort route of pair_counts. On a fresh
-#: heap the sort route wins from n = 160 on, by 1.5-2x, under every rule; on a heap
-#: that has freed a large block the lag kernel wins below about 224 and the two tie
-#: near 256 (under lt at d = 0, near 160)
-_SORT_MIN_N = 256
+#: a single series at least this long takes the sort route of pair_counts: by the
+#: tables of scripts/route_crossovers.py, fresh heap and warm, the first n at which
+#: it beats the lag kernel under leq at 0.6, positive_only at 0.6 and lt at 0
+_SORT_MIN_N = 144
 
-#: rows of ranks in a batch at least this long are merged by _rank_scores rather than
-#: sharing its lag loop; one full permutation chunk is merged faster from n = 1300 on,
-#: on a fresh heap or a warm one: by 3-13% under a symmetric rule, 17-23% otherwise
-_MERGE_MIN_N = 1500
-
-#: a lone row of ranks at least this long is merged: a single series or an observed row;
-#: the two routes tie near n = 950 to 1000, on a fresh heap or a warm one
-_ROW_MERGE_MIN_N = 1000
+#: rows of ranks at least this long are merged by _rank_scores, one row or many. By
+#: those tables a full permutation chunk merges faster from n = 1400-1500 (symmetric)
+#: or 1250 (positive_only), a lone row from 1200-1250 or below 1000; here neither side
+#: takes over 1.12 times the faster route's time for a chunk, or 1.3 for a lone row
+_MERGE_MIN_N = 1300
 
 
 @dataclass(frozen=True)
@@ -479,15 +475,14 @@ def _rank_scores(rows: np.ndarray, low: np.ndarray, high: np.ndarray,
 
     ``scoring`` is :func:`_symmetric_scoring` of the rows, which are orderings of
     one set of ranks. Given, only the +1 side is counted, and down is scoring less
-    up; None counts both sides. A lone row of ``_ROW_MERGE_MIN_N`` ranks or more,
-    and each row of a batch of ``_MERGE_MIN_N`` or more, is merged over int32 ranks
-    (:func:`_merged_pairs`). Shorter rows share a lag loop, :func:`_lag_block` lags
-    per step, that compares the earlier ranks with the later bounds into
-    per-position byte counters.
+    up; None counts both sides. Rows of ``_MERGE_MIN_N`` ranks or more, however
+    many, are merged over int32 ranks (:func:`_merged_pairs`), one by one. Shorter
+    rows share a lag loop, :func:`_lag_block` lags per step, that compares the
+    earlier ranks with the later bounds into per-position byte counters.
     """
     m, n = rows.shape
     bounds = (low,) if scoring is not None else (low, high)
-    if n >= (_ROW_MERGE_MIN_N if m == 1 else _MERGE_MIN_N):
+    if n >= _MERGE_MIN_N:
         rows, bounds = rows.astype(np.int32), [b.astype(np.int32) for b in bounds]
         counted = np.array([_merged_pairs(r, *(b[r] for b in bounds)) for r in rows],
                            dtype=np.int64).T

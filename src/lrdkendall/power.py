@@ -338,7 +338,7 @@ def power_curve(
     slope = real(slope, "slope")
     crit = critical_value(alpha_level)
     try:
-        grid = [real(d, "d_grid entry") for d in d_grid]
+        grid = [real(d, "d_grid entry") + 0.0 for d in d_grid]  # -0.0 reported as 0.0
     except TypeError:
         raise InputError(f"d_grid must be a sequence of thresholds, got {_shown(d_grid)}") from None
     if not grid:

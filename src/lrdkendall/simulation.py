@@ -99,8 +99,10 @@ class Scenario:
         object.__setattr__(self, "replicates", check_replicates(self.replicates))
         for name in ("theta", "error_sd", "alpha_level"):
             object.__setattr__(self, name, real(getattr(self, name), name))
+        # + 0.0 stores a -0.0 as 0.0, as LrdRule.d does, so equal scenarios key one stream
+        object.__setattr__(self, "theta", self.theta + 0.0)
         try:
-            ratios = tuple(real(r, "d_ratios entry") for r in self.d_ratios)
+            ratios = tuple(real(r, "d_ratios entry") + 0.0 for r in self.d_ratios)
         except TypeError:
             raise InputError(f"d_ratios must be a sequence, got {_shown(self.d_ratios)}") from None
         object.__setattr__(self, "d_ratios", ratios)
@@ -137,7 +139,7 @@ class Scenario:
         """The identity of this scenario's cell at threshold d_ratio."""
         return CellKey(
             self.distribution, self.n, self.error_sd, self.theta, self.p,
-            real(d_ratio, "d_ratio"),
+            real(d_ratio, "d_ratio") + 0.0,
         )
 
 

@@ -363,6 +363,12 @@ class TestPowerCommand:
         assert payload["kind"] == "power_curve"
         assert [pt["d"] for pt in payload["points"]] == [0.0, 0.5, 1.0]
 
+    def test_negative_zero_threshold_reads_zero(self, capsys):
+        code, raw = run_cli(capsys, "power", "--density", "normal:1",
+                            "--d-grid=-0.0:0.5:0.5", "--format", "json")
+        assert code == 0
+        assert '"d": 0.0,' in raw and "-0.0" not in raw
+
     def test_lambda_alias(self, capsys):
         code_a, a = run_cli(
             capsys, "power", "--density", "normal:1", "--lambda", "0.5",

@@ -297,10 +297,12 @@ class TestCounterWidth:
         self.assert_oracle(distinct, np.arange(64) % 3)
 
     def test_single_series_of_duplicates_under_lt_at_zero(self):
-        # below the sort route's crossover, 128 lags per step; each value of the
-        # run of 9s at the end exceeds all 254 others under lt at 0
+        # scored twice, as the rows of a batch, so that it takes the lag kernel at 64
+        # lags per step; each value of the run of 9s at the end exceeds all 254
+        # others under lt at 0
         x = np.concatenate([np.random.default_rng(6).integers(0, 4, 200), np.full(55, 9)])
-        self.assert_oracle(x[None, :].astype(float), [0])
+        assert core._lag_block(len(x), 2) == 64
+        self.assert_oracle(x[None, :].astype(float), [0, 0])
 
 
 class TestSortRoute:
@@ -357,6 +359,11 @@ class TestSortRoute:
                 assert tests.call_count <= 6
 
 
+# the ids of the lengths just below _rank_scores' merge length and at it, which do
+# not change when the constant moves
+MERGE_SIDES = ["below", "at"]
+
+
 def lag_kernel_counts(rows, rule):
     """(s, scoring) of each row of a matrix of values, by pair_counts of the rows
     and a copy of the first, so that even a single row takes the lag kernel."""
@@ -381,10 +388,12 @@ class TestRankScores:
             assert up.dtype == down.dtype == np.int64
             assert np.array_equal(up - down, s) and np.array_equal(up + down, scoring)
 
-    @pytest.mark.parametrize("n", [core._MERGE_MIN_N - 1, core._MERGE_MIN_N])
+    @pytest.mark.parametrize("n", [core._MERGE_MIN_N - 1, core._MERGE_MIN_N], ids=MERGE_SIDES)
     @pytest.mark.parametrize("kind", ["walk", "extremes", "near 1e16"])
-    def test_rows_on_both_sides_of_the_crossover(self, n, kind):
-        # from _MERGE_MIN_N on, each row of a batch is merged; the lag loop takes shorter ones
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_rows_on_both_sides_of_the_crossover(self, n, kind, m):
+        # from _MERGE_MIN_N on, each row is merged, a lone row and the rows of a
+        # batch alike; the lag loop takes shorter ones
         rng = np.random.default_rng(n)
         values = np.round(np.cumsum(rng.normal(size=n)), 1)
         if kind == "extremes":  # differences overflow to +/-inf
@@ -392,33 +401,20 @@ class TestRankScores:
             values[rng.random(n) < 0.1] = -1e308
         elif kind == "near 1e16":  # one ulp is 2, more than every d below
             values = 1e16 + 2.0 * rng.integers(0, 300, n)
-        orders = rng.permuted(np.tile(np.arange(n), (2, 1)), axis=1)
+        orders = rng.permuted(np.tile(np.arange(n), (m, 1)), axis=1)
         for rule in (LrdRule(d=d, boundary=boundary, direction=direction)
                      for d in (0.0, 1.0) for boundary in BOUNDARIES for direction in DIRECTIONS):
-            self.assert_counts(values, orders, rule, 2 if n >= core._MERGE_MIN_N else 0)
+            self.assert_counts(values, orders, rule, m if n >= core._MERGE_MIN_N else 0)
 
-    @pytest.mark.parametrize("n", [core._ROW_MERGE_MIN_N - 1, core._ROW_MERGE_MIN_N,
-                                   core._MERGE_MIN_N - 1, core._MERGE_MIN_N])
-    @pytest.mark.parametrize("m", [1, 2])
-    def test_one_predicate_routes_lone_rows_and_batches(self, n, m):
-        # a lone row is merged from _ROW_MERGE_MIN_N on, the rows of a batch from _MERGE_MIN_N
-        rng = np.random.default_rng(n)
-        values = np.round(np.cumsum(rng.normal(size=n)), 1)
-        orders = rng.permuted(np.tile(np.arange(n), (m, 1)), axis=1)
-        merged = n >= (core._ROW_MERGE_MIN_N if m == 1 else core._MERGE_MIN_N)
-        for rule in (LrdRule(d=0.6), LrdRule(d=0.0, boundary="lt"),
-                     LrdRule(d=0.6, direction="positive_only")):
-            self.assert_counts(values, orders, rule, m if merged else 0)
-
-    @pytest.mark.parametrize("n", [core._SORT_MIN_N, core._ROW_MERGE_MIN_N - 1,
-                                   core._ROW_MERGE_MIN_N])
+    @pytest.mark.parametrize("n", [core._SORT_MIN_N, core._MERGE_MIN_N - 1, core._MERGE_MIN_N],
+                             ids=["sort", *MERGE_SIDES])
     def test_a_single_series_is_merged_by_the_same_predicate(self, n):
         # pair_counts of one series reaches _rank_scores as one row
         x = np.round(np.cumsum(np.random.default_rng(n).normal(size=n)), 1)
         rule = LrdRule(d=0.6)
         with mock.patch.object(core, "_merged_pairs", wraps=core._merged_pairs) as merge:
             s, scoring, _, _ = pair_counts(x[None, :], rule)
-        assert merge.call_count == (1 if n >= core._ROW_MERGE_MIN_N else 0)
+        assert merge.call_count == (1 if n >= core._MERGE_MIN_N else 0)
         want_s, want_scoring = lag_kernel_counts(x[None, :], rule)
         assert np.array_equal(s, want_s) and np.array_equal(scoring, want_scoring)
 
@@ -438,7 +434,7 @@ class TestRankScores:
         assert (up - down).tolist() == [want[k] for k in pick]
         assert (up + down == n * (n - 1) // 2).all()  # distinct values, d = 0: every pair scores
 
-    @pytest.mark.parametrize("n", [999, 1000, 1499, 1500])
+    @pytest.mark.parametrize("n", [core._MERGE_MIN_N - 1, core._MERGE_MIN_N], ids=MERGE_SIDES)
     @pytest.mark.parametrize("m", [1, 2])
     def test_symmetric_rules_count_one_side(self, n, m):
         # under a symmetric rule the scoring pairs are fixed by the values, so
@@ -447,7 +443,7 @@ class TestRankScores:
         rng = np.random.default_rng(n)
         values = np.round(np.cumsum(rng.normal(size=n)), 1)
         orders = rng.permuted(np.tile(np.arange(n), (m, 1)), axis=1)
-        merged = n >= (core._ROW_MERGE_MIN_N if m == 1 else core._MERGE_MIN_N)
+        merged = n >= core._MERGE_MIN_N
         for rule, sides in ((LrdRule(d=0.6), 1), (LrdRule(d=0.0, boundary="lt"), 1),
                             (LrdRule(d=0.6, direction="positive_only"), 2),
                             (LrdRule(d=0.6, direction="negative_only"), 2)):
@@ -464,16 +460,20 @@ class TestRankScores:
             s, want_scoring = lag_kernel_counts(values[orders], rule)
             assert np.array_equal(up - down, s) and np.array_equal(up + down, want_scoring)
 
-    def test_callers_pass_the_symmetric_scoring(self):
-        # a single series and both permutation scorings of one row at n = 1000 are
-        # merged, one side under a symmetric rule and both under a one-directional one
-        x = np.round(np.cumsum(np.random.default_rng(7).normal(size=1000)), 1)
+    @pytest.mark.parametrize("n", [core._MERGE_MIN_N - 1, core._MERGE_MIN_N], ids=MERGE_SIDES)
+    def test_a_series_and_its_draws_take_one_route(self, n):
+        # pair_counts of one series, its observed row in a permutation test and the
+        # one chunk of its 3 draws are all merged or none is; the callers pass the
+        # symmetric scoring, so a merge counts one side under a symmetric rule and
+        # both under a one-directional one
+        x = np.round(np.cumsum(np.random.default_rng(7).normal(size=n)), 1)
         for rule, sides in ((LrdRule(d=0.6), 1), (LrdRule(d=0.6, direction="positive_only"), 2)):
             with mock.patch.object(core, "_merged_pairs", wraps=core._merged_pairs) as merge:
                 s = pair_counts(x[None, :], rule)[0]
-                result = permutation_test(Series.from_values(x), rule, replicates=1, seed=0)
+                result = permutation_test(Series.from_values(x), rule, replicates=3, seed=0)
             assert result.s_observed == s[0]
-            assert [len(call.args) for call in merge.call_args_list] == [1 + sides] * 3
+            merges = 1 + 1 + 3 if n >= core._MERGE_MIN_N else 0
+            assert [len(call.args) for call in merge.call_args_list] == [1 + sides] * merges
 
 
 class TestUvCounts:

@@ -2,7 +2,6 @@
 
 import itertools
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +22,6 @@ from lrdkendall import (
     s_extended,
 )
 
-from lrdkendall import core
 from lrdkendall.core import BOUNDARIES, DIRECTIONS, pair_counts
 from lrdkendall.permutation import _null, _orderings
 from lrdkendall.seeds import MAX_REPLICATES
@@ -192,17 +190,6 @@ class TestSampled:
                      for d in (0.0, 0.5) for boundary in BOUNDARIES for direction in DIRECTIONS):
             result = permutation_test(series, rule, replicates=1, seed=0, method="sampled")
             assert result.s_observed == s_extended(series, rule)
-
-    def test_observed_row_at_1499_is_merged_once(self):
-        # a lone row is merged from core._ROW_MERGE_MIN_N on, while the 3 draws of
-        # the one chunk at n = 1499 share the lag loop
-        rng = np.random.default_rng(1499)
-        series = Series.from_values(np.round(np.cumsum(rng.normal(size=1499)), 1))
-        rule = LrdRule(d=0.6)
-        with mock.patch.object(core, "_merged_pairs", wraps=core._merged_pairs) as merge:
-            result = permutation_test(series, rule, replicates=3, seed=0)
-        assert merge.call_count == 1
-        assert result.s_observed == s_extended(series, rule)
 
     def test_one_directional_rule_accepted(self):
         # the analytic path refuses these; permutation is the fallback

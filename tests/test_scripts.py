@@ -168,3 +168,19 @@ class TestPowerCurveDemo:
         script = load_script("power_curve_demo")
         assert script.main(["--density", f"file:{path}"]) == 2
         assert capsys.readouterr().err == "error: not UTF-8 text: cannot decode byte 0xff\n"
+
+
+class TestRouteCrossovers:
+    def test_both_heaps_time_each_decision_under_each_rule(self, capsys):
+        # two child processes, one per heap state, at lengths that take well under a second
+        script = load_script("route_crossovers")
+        assert script.main(sort_sizes=(12,), merge_sizes=(300,), rounds=1) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if "heap" in line] == [
+            f"{heap} heap: median us of 1 interleaved calls" for heap in ("fresh", "warm")]
+        rows = [line.split() for line in lines if line.split()[0] in ("sort", "row", "chunk")]
+        want = [(decision, n, rule) for decision, n in (("sort", "12"), ("row", "300"),
+                                                        ("chunk", "300"))
+                for rule in ("leq", "lt", "positive_only")]
+        assert [(row[0], row[1], row[2]) for row in rows] == want * 2
+        assert all(float(row[-1]) > 0 for row in rows)

@@ -207,6 +207,17 @@ class TestRunGrid:
         grid = run_grid([scenario, make_scenario()])
         assert len(grid) == 2  # same keys, second write is identical
 
+    def test_negative_zeros_give_the_cells_of_their_zero_twin(self):
+        # -0.0 compared equal to 0.0 but keyed its own stream, str(-0.0)
+        zero = make_scenario(n=10, replicates=50, seed=0, d_ratios=(0.0, 0.5))
+        negative = make_scenario(n=10, replicates=50, seed=0, theta=-0.0, d_ratios=(-0.0, 0.5))
+        grid = run_grid([negative])
+        assert grid == run_grid([zero])
+        keys = [*grid, negative.key(-0.0)]
+        assert all(math.copysign(1.0, k.theta) == math.copysign(1.0, k.d_ratio) == 1.0
+                   for k in keys)
+        assert math.copysign(1.0, negative.d_ratios[0]) == 1.0
+
     def test_cells_match_run_cell(self):
         scenario = make_scenario()
         grid = run_grid([scenario])
