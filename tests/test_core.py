@@ -362,6 +362,10 @@ class TestSortRoute:
 # the ids of the lengths just below _rank_scores' merge length and at it, which do
 # not change when the constant moves
 MERGE_SIDES = ["below", "at"]
+# those two lengths and two pairs further from the merge length, on either side
+# of it while it lies between 1000 and 1499
+ROUTE_NS = [core._MERGE_MIN_N - 1, core._MERGE_MIN_N, 999, 1000, 1499, 1500]
+ROUTE_IDS = [*MERGE_SIDES, "999", "1000", "1499", "1500"]
 
 
 def lag_kernel_counts(rows, rule):
@@ -388,10 +392,10 @@ class TestRankScores:
             assert up.dtype == down.dtype == np.int64
             assert np.array_equal(up - down, s) and np.array_equal(up + down, scoring)
 
-    @pytest.mark.parametrize("n", [core._MERGE_MIN_N - 1, core._MERGE_MIN_N], ids=MERGE_SIDES)
+    @pytest.mark.parametrize("n", [core._MERGE_MIN_N - 1, core._MERGE_MIN_N, 1499, 1500],
+                             ids=[*MERGE_SIDES, "1499", "1500"])
     @pytest.mark.parametrize("kind", ["walk", "extremes", "near 1e16"])
-    @pytest.mark.parametrize("m", [1, 2])
-    def test_rows_on_both_sides_of_the_crossover(self, n, kind, m):
+    def test_rows_on_both_sides_of_the_crossover(self, n, kind):
         # from _MERGE_MIN_N on, each row is merged, a lone row and the rows of a
         # batch alike; the lag loop takes shorter ones
         rng = np.random.default_rng(n)
@@ -401,13 +405,27 @@ class TestRankScores:
             values[rng.random(n) < 0.1] = -1e308
         elif kind == "near 1e16":  # one ulp is 2, more than every d below
             values = 1e16 + 2.0 * rng.integers(0, 300, n)
-        orders = rng.permuted(np.tile(np.arange(n), (m, 1)), axis=1)
-        for rule in (LrdRule(d=d, boundary=boundary, direction=direction)
-                     for d in (0.0, 1.0) for boundary in BOUNDARIES for direction in DIRECTIONS):
-            self.assert_counts(values, orders, rule, m if n >= core._MERGE_MIN_N else 0)
+        for m in (1, 2):
+            orders = rng.permuted(np.tile(np.arange(n), (m, 1)), axis=1)
+            for rule in (LrdRule(d=d, boundary=boundary, direction=direction)
+                         for d in (0.0, 1.0) for boundary in BOUNDARIES for direction in DIRECTIONS):
+                self.assert_counts(values, orders, rule, m if n >= core._MERGE_MIN_N else 0)
 
-    @pytest.mark.parametrize("n", [core._SORT_MIN_N, core._MERGE_MIN_N - 1, core._MERGE_MIN_N],
-                             ids=["sort", *MERGE_SIDES])
+    @pytest.mark.parametrize("n", ROUTE_NS, ids=ROUTE_IDS)
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_one_predicate_routes_lone_rows_and_batches(self, n, m):
+        # a lone row and the rows of a batch are merged from the same length on
+        rng = np.random.default_rng(n)
+        values = np.round(np.cumsum(rng.normal(size=n)), 1)
+        orders = rng.permuted(np.tile(np.arange(n), (m, 1)), axis=1)
+        merged = n >= core._MERGE_MIN_N
+        for rule in (LrdRule(d=0.6), LrdRule(d=0.0, boundary="lt"),
+                     LrdRule(d=0.6, direction="positive_only")):
+            self.assert_counts(values, orders, rule, m if merged else 0)
+
+    @pytest.mark.parametrize("n", [core._SORT_MIN_N, core._MERGE_MIN_N - 1, core._MERGE_MIN_N,
+                                   256, 999, 1000],
+                             ids=["sort", *MERGE_SIDES, "256", "999", "1000"])
     def test_a_single_series_is_merged_by_the_same_predicate(self, n):
         # pair_counts of one series reaches _rank_scores as one row
         x = np.round(np.cumsum(np.random.default_rng(n).normal(size=n)), 1)
@@ -434,7 +452,7 @@ class TestRankScores:
         assert (up - down).tolist() == [want[k] for k in pick]
         assert (up + down == n * (n - 1) // 2).all()  # distinct values, d = 0: every pair scores
 
-    @pytest.mark.parametrize("n", [core._MERGE_MIN_N - 1, core._MERGE_MIN_N], ids=MERGE_SIDES)
+    @pytest.mark.parametrize("n", ROUTE_NS, ids=ROUTE_IDS)
     @pytest.mark.parametrize("m", [1, 2])
     def test_symmetric_rules_count_one_side(self, n, m):
         # under a symmetric rule the scoring pairs are fixed by the values, so
