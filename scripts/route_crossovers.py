@@ -62,9 +62,8 @@ def measure(warm, sort_sizes, merge_sizes, rounds, seed=0):
                 if decision == "sort":
                     args, call = (x[None, :], rule), core.pair_counts
                 else:
-                    rank, low, high = core._rank_bounds(x, rule)
-                    draws = rng.permuted(np.tile(rank, (m, 1)), axis=1)
-                    args = draws, low, high, core._symmetric_scoring(rank, low, rule)
+                    rank, _, *bounds = core._rank_bounds(x, rule)
+                    args = rng.permuted(np.tile(rank, (m, 1)), axis=1), *bounds
                     call = core._rank_scores
                 times = np.empty((rounds, 2))
                 for r in range(rounds):

@@ -27,20 +27,23 @@ longer than :data:`MAX_SERIES_N` are refused. :func:`pair_score` is the
 scalar reference they are tested against.
 
 The module also owns :func:`_rank_bounds`, the pair rule restated over the
-ranks of a series' distinct values, by one threshold search: which ranks
-each value scores +1 and -1 against. The sort route takes its bounds from
-it, and so do the permutation nulls, which permute one fixed set of values,
-so the bounds never change between draws. The sort route and every null,
-sampled, regional or exhaustive, score rows of ranks by :func:`_rank_scores`,
-which alone chooses from the row length, however many rows, between merging
-time blocks (Knight 1966) and comparing bytes in a lag loop.
-Under a symmetric rule whether a pair scores does not depend on which of its
-values comes first, so the scoring pairs are fixed by the values
-(:func:`_symmetric_scoring`, in O(n)), and either route counts only the pairs
-that score +1, taking the -1 pairs as the rest. At n = 4000 ``run_test``
-under a symmetric rule takes about 1.6 ms, and ``s_extended`` under a
-one-directional rule, which counts both sides, about 2.1 ms (shared 2-core
-Xeon, Python 3.11, numpy 2.4).
+ranks of a series' distinct values, by one threshold search: for each rank,
+the bounds below which the ranks it scores +1 and -1 against lie. The sort
+route takes its bounds from it, and so do the permutation nulls, which
+permute one fixed set of values, so the bounds never change between draws.
+The sort route and every null, sampled, regional or exhaustive, score rows
+of ranks by :func:`_rank_scores`, which alone chooses from the row length,
+however many rows, between merging time blocks (Knight 1966) and comparing
+bytes in a lag loop.
+For a table of bounds that no rank reaches its own, the pairs whose earlier
+rank is below the later value's bound, plus those whose later rank is below
+the earlier value's, make a total that the values fix, in O(n). Every rule's
+-1 pairs are the second kind for one table, so either route counts only the
+first kind, under one table or, for a one-directional rule at d > 0, two,
+and reads the -1 pairs as that table's total less its count. At n = 4000
+``run_test`` under a symmetric rule takes about 1.6 ms, and ``s_extended``
+under a one-directional rule about 2.1 ms (shared 2-core Xeon, Python 3.11,
+numpy 2.4).
 
 Conventions
 -----------
@@ -85,7 +88,7 @@ DIRECTIONS = ("symmetric", "positive_only", "negative_only")
 #: longest series a pairwise-kernel call accepts. It keeps n below 2**15, which the
 #: lag kernel's int16 sums over the block axis need, and _merged_pairs' keys
 #: block * (n + 1) + rank below 2**31. pair_counts of a single series at the cap
-#: takes about 3.5 ms under a symmetric rule, which merges one side only.
+#: takes about 3.5 ms under a symmetric rule, which merges one table of bounds.
 MAX_SERIES_N = 11_239
 
 #: a single series at least this long takes the sort route of pair_counts: by the
@@ -269,9 +272,12 @@ def pair_counts(rows: np.ndarray, rule: LrdRule):
     relevantly different pair lands once in some u entry and once in
     some v entry, so the row totals match. Both routes give the same u and
     v under a symmetric rule, the only rule they and the variance formulas
-    built on them are defined for. Under a one-directional rule they are
-    returned but mean nothing: the sort route counts them without time
-    order, the lag kernel with it, so the two differ.
+    built on them are defined for. Under a one-directional rule they mean
+    nothing: the sort route counts them without time order, the lag kernel
+    with it, so the two differ. They are returned there all the same, as the
+    batched kernel has one return shape for every rule, and the callers that
+    would read them, ``inference.score_rows``, :func:`uv_counts` and
+    :func:`tie_proportion`, refuse such rules.
 
     Note:
         Under boundary "lt" at ``d = 0``, a pair of exactly equal values
@@ -371,21 +377,26 @@ def _prefix_end(guess, holds, top: int):
 
 
 def _rank_bounds(x: np.ndarray, rule: LrdRule):
-    """(rank, low, high): each observation's rank among the distinct values of
-    ``x``, and for each rank the bounds of the ranks it scores against.
+    """(rank, below, up, down, total): each observation's rank among the distinct
+    values of ``x``, the number of observations below each rank, the bound tables
+    of the pairs that score +1 and -1, and the total of the -1 table.
 
-    By the lag kernel's own predicate, under every direction and boundary, an
-    observation of rank r scores +1 against an earlier one of rank below
-    ``low[r]`` and -1 against one of rank ``high[r]`` or more; the ranks in
-    between tie with it. The bounds depend only on the values, so a
-    permutation null finds them once and scores every draw by comparing ranks.
+    By the lag kernel's own predicate, under every direction and boundary, a
+    pair of an earlier rank k and a later rank r scores +1 when k < ``up[r]``,
+    -1 when r < ``down[k]``, and 0 otherwise. The tables depend only on the
+    values, so a permutation null finds them once and scores every draw by
+    comparing ranks.
 
     One threshold search gives ``bound``: rank r relevantly exceeds the ranks
-    below ``bound[r]`` and is relevantly exceeded by the ranks k with
-    ``bound[k] > r``, which, as ``bound`` ascends, start at ``high[r]`` =
-    searchsorted(bound, r, "right"). A one-directional rule scores every
-    nonzero move in its other direction, so that side's bound is r or r + 1.
-    At d = 0 ``bound`` is the ranks, as a value never scores against its equals.
+    below ``bound[r]``. A symmetric rule takes it for both tables. A
+    one-directional rule scores every nonzero move in its other direction, so
+    that side's table is the ranks. At d = 0 ``bound`` is the ranks, as a value
+    never scores against its equals, so there every rule has one table, and
+    ``up`` is ``down``.
+
+    No rank is below its own bound, so ``total`` = sum_q below[down[rank_q]]
+    counts each pair once for each order of its two values that scores -1,
+    whatever the ordering of ``x``.
     """
     values, rank = np.unique(x, return_inverse=True)
     bound = ranks = np.arange(len(values))
@@ -394,36 +405,37 @@ def _rank_bounds(x: np.ndarray, rule: LrdRule):
             bound = _prefix_end(np.searchsorted(values, values - rule.d),
                                 lambda k: _exceeds(values - values[k], rule.d, rule.boundary),
                                 len(values))
-    low = ranks if rule.direction == "negative_only" else bound
-    high = (ranks + 1 if rule.direction == "positive_only"
-            else np.searchsorted(bound, ranks, side="right"))
-    return rank, low, high
+    up = ranks if rule.direction == "negative_only" else bound
+    down = ranks if rule.direction == "positive_only" else bound
+    count = np.bincount(rank, minlength=len(values))
+    below = np.concatenate(([0], np.cumsum(count)))
+    return rank, below, up, down, int(count @ below[down])
 
 
 def _series_counts(x: np.ndarray, rule: LrdRule):
     """:func:`pair_counts` of one series, by ranks.
 
-    Value q relevantly exceeds the observations of rank below ``low[q]`` and
-    falls below those of rank ``high[q]`` or more, so u and v need no time
-    order; under a one-directional rule they differ from the lag kernel's,
-    which are time-ordered, but neither is defined there. The score and the
-    scoring pairs come from :func:`_rank_scores` of the ranks as one row.
+    Value q relevantly exceeds the observations of rank below ``up[q]`` and
+    falls below those of rank ``high[q]`` or more, the ranks k with
+    ``down[k] > q``, so u and v need no time order; under a one-directional
+    rule they differ from the lag kernel's, which are time-ordered, but
+    neither is defined there. The score and the scoring pairs come from
+    :func:`_rank_scores` of the ranks as one row.
     """
     n = len(x)
-    rank, low, high = _rank_bounds(x, rule)
-    below_n = np.concatenate(([0], np.cumsum(np.bincount(rank, minlength=len(low)))))
+    rank, below, up, down, total = _rank_bounds(x, rule)
+    high = np.searchsorted(down, np.arange(len(down)), side="right")
     if rule.boundary == "lt" and rule.d == 0:
         # every value exceeds itself and its equals by 0 there, though equal values never score
-        u, v = below_n[high] - 1, n - 1 - below_n[low]
+        u, v = below[high] - 1, n - 1 - below[up]
     else:
-        u, v = below_n[low], n - below_n[high]
-    up, down = _rank_scores(rank[None, :], low, high, _symmetric_scoring(rank, low, rule))
-    return up - down, up + down, u[rank][None, :], v[rank][None, :]
+        u, v = below[up], n - below[high]
+    n_up, n_down = _rank_scores(rank[None, :], up, down, total)
+    return n_up - n_down, n_up + n_down, u[rank][None, :], v[rank][None, :]
 
 
-def _merged_pairs(rank, low, high=None) -> tuple[int, ...]:
-    """(up, down): the pairs i < j with rank[i] < low[j], and those with rank[i] >= high[j];
-    (up,) alone when ``high`` is None.
+def _merged_pairs(rank, *lows) -> tuple[int, ...]:
+    """Per table ``low`` of ``lows``, the pairs i < j with rank[i] < low[j].
 
     One pass per power of two w: in each block of 2w time steps, every
     later-half observation counts its earlier-half partners by binary search
@@ -433,7 +445,7 @@ def _merged_pairs(rank, low, high=None) -> tuple[int, ...]:
     n = len(rank)
     span = n + 1  # above every rank, so the keys keep the blocks apart
     t = np.arange(n, dtype=np.int32)
-    up = down = 0
+    counts = [0] * len(lows)
     level = 0
     while (width := 1 << level) < n:
         block = t >> (level + 1)
@@ -444,73 +456,53 @@ def _merged_pairs(rank, low, high=None) -> tuple[int, ...]:
         base = block * span
         # blocks before this one are full, so their earlier halves hold block * width keys;
         # a sum ignores the order of its queries, and sorted ones are searched faster
-        up += int(np.searchsorted(keys, np.sort(base + low[late])).sum() - width * block.sum())
-        if high is not None:
-            down += int(width * (block + 1).sum()
-                        - np.searchsorted(keys, np.sort(base + high[late])).sum())
+        full = width * block.sum()
+        counts = [count + int(np.searchsorted(keys, np.sort(base + low[late])).sum() - full)
+                  for count, low in zip(counts, lows)]
         level += 1
-    return (up,) if high is None else (up, down)
+    return tuple(counts)
 
 
-def _symmetric_scoring(rank, low, rule: LrdRule) -> int | None:
-    """The pairs of the ranks ``rank`` that score under a symmetric ``rule``, in
-    every ordering of them; None under a one-directional rule.
-
-    Whether a symmetric rule scores a pair, +1 or -1, does not depend on which
-    of its values comes first, so the scoring pairs are the observations each
-    one relevantly exceeds, summed: O(n), by counting ranks. Under "lt" at
-    d = 0 they are the pairs of distinct values. A one-directional rule's
-    depend on the order.
-    """
-    if rule.direction != "symmetric":
-        return None
-    count = np.bincount(rank, minlength=len(low))
-    return int(count @ np.concatenate(([0], np.cumsum(count)))[low])
-
-
-def _rank_scores(rows: np.ndarray, low: np.ndarray, high: np.ndarray,
-                 scoring: int | None = None) -> np.ndarray:
+def _rank_scores(rows: np.ndarray, up: np.ndarray, down: np.ndarray, total: int):
     """(up, down): the pairs of each row of an (m, n) matrix of ranks that score
-    +1 and -1 by :func:`_rank_bounds`, as an int64 array of shape (2, m).
+    +1 and -1, as two int64 arrays of length m.
 
-    ``scoring`` is :func:`_symmetric_scoring` of the rows, which are orderings of
-    one set of ranks. Given, only the +1 side is counted, and down is scoring less
-    up; None counts both sides. Rows of ``_MERGE_MIN_N`` ranks or more, however
-    many, are merged over int32 ranks (:func:`_merged_pairs`), one by one. Shorter
-    rows share a lag loop, :func:`_lag_block` lags per step, that compares the
+    The rows are orderings of one set of ranks, and ``up``, ``down`` and
+    ``total`` are their :func:`_rank_bounds`. Only pairs whose earlier rank is
+    below the later value's bound are counted: under ``up``, the +1 pairs, and
+    under ``down``, whose -1 pairs are ``total`` less that count; one table when
+    ``up`` is ``down``. Rows of ``_MERGE_MIN_N`` ranks or more, however many, are
+    merged over int32 ranks (:func:`_merged_pairs`), one by one. Shorter rows
+    share a lag loop, :func:`_lag_block` lags per step, that compares the
     earlier ranks with the later bounds into per-position byte counters.
     """
     m, n = rows.shape
-    bounds = (low,) if scoring is not None else (low, high)
+    lows = (up,) if up is down else (up, down)
     if n >= _MERGE_MIN_N:
-        rows, bounds = rows.astype(np.int32), [b.astype(np.int32) for b in bounds]
-        counted = np.array([_merged_pairs(r, *(b[r] for b in bounds)) for r in rows],
+        rows, lows = rows.astype(np.int32), [low.astype(np.int32) for low in lows]
+        counted = np.array([_merged_pairs(r, *(low[r] for low in lows)) for r in rows],
                            dtype=np.int64).T
     else:
         block = _lag_block(n, m)
-        kind = np.uint8 if len(low) < 256 else np.uint16  # high reaches len(low)
+        kind = np.uint8 if len(up) <= 256 else np.uint16  # every bound is below len(up)
         rank = rows.T.astype(kind, order="C")
-        counts = np.zeros((len(bounds), block, n, m), dtype=np.uint8)
-        # per side, its counter and the later bounds, then rows that no rank falls below or reaches
+        counts = np.zeros((len(lows), block, n, m), dtype=np.uint8)
+        # per table, its counter and the later bounds, then rows of 0 that no rank falls below
         sides = []
-        for counter, bound, fill, hits in zip(counts, bounds, (0, np.iinfo(kind).max),
-                                              (np.less, np.greater_equal)):
-            later = np.empty((n + block, m), dtype=kind)
-            np.take(bound.astype(kind), rank, out=later[:n])
-            later[n:] = fill
-            sides.append((counter, later, hits))
+        for counter, low in zip(counts, lows):
+            later = np.zeros((n + block, m), dtype=kind)
+            np.take(low.astype(kind), rank, out=later[:n])
+            sides.append((counter, later))
         p0, p1 = later.strides
         for lag in range(1, n, block):
             t = n - lag
-            for counter, later, hits in sides:
+            for counter, later in sides:
                 # at[b, i] is later[lag + b + i], so [b, i] is pair (i, i + lag + b)
                 at = np.ndarray((block, t, m), kind, later, lag * p0, (p0, p0, p1))
-                counter[:, :t] += hits(rank[:t], at).view(np.uint8)
+                counter[:, :t] += np.less(rank[:t], at).view(np.uint8)
         # a row has fewer than n * n / 2 pairs, far below 2**31; int32 sums bytes faster
         counted = counts.sum(axis=(1, 2), dtype=np.int32).astype(np.int64)
-    if scoring is None:
-        return counted
-    return np.concatenate((counted, scoring - counted))
+    return counted[0], total - counted[-1]
 
 
 def s_extended(series: Series, rule: LrdRule) -> int:

@@ -16,9 +16,10 @@ docstring states with this module's row cost, cap and keys. Each chunk
 permutes int64 rows of the ranks, which takes the same draws as permuting
 the values. core._rank_scores, which also scores the observed row, counts
 each row's pairs that score +1 and -1, S being their difference, by byte
-compares or, for long rows, by merging. Under a symmetric rule it counts the
-+1 side only, since every ordering of one set of values has the same scoring
-pairs (core._symmetric_scoring), found once per group. At n = 30 a call of
+compares or, for long rows, by merging. It compares each earlier rank with
+the later value's bound alone, and reads the -1 pairs off a total that every
+ordering of one set of values shares, which core._rank_bounds finds once per
+group with the bounds. At n = 30 a call of
 10 000 draws takes about 7 ms under a symmetric rule and 8 ms under a
 one-directional one, against about 15 ms when each chunk was scored as rows
 of values by pair_counts, which also counted the u/v tallies the null
@@ -44,8 +45,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import (LrdRule, Series, _check_length, _rank_bounds, _rank_scores,
-                   _symmetric_scoring)
+from .core import LrdRule, Series, _check_length, _rank_bounds, _rank_scores
 from .errors import InputError, integral
 from .inference import SIDEDNESS
 from .regional import LrdPolicy, RegionalDataset, _group_rules
@@ -97,10 +97,9 @@ def _null(groups) -> tuple[int, np.ndarray]:
     _check_length(len(groups[0][0]))
     observed, null = 0, 0
     for values, rule, draw in groups:
-        rank, low, high = _rank_bounds(values, rule)
-        scoring = _symmetric_scoring(rank, low, rule)
-        observed += int(np.subtract(*_rank_scores(rank[None, :], low, high, scoring))[0])
-        null = null + np.concatenate([np.subtract(*_rank_scores(rows, low, high, scoring))
+        rank, _, *bounds = _rank_bounds(values, rule)
+        observed += int(np.subtract(*_rank_scores(rank[None, :], *bounds))[0])
+        null = null + np.concatenate([np.subtract(*_rank_scores(rows, *bounds))
                                       for rows in draw(rank)])
     return observed, null
 

@@ -14,9 +14,10 @@ correlation +1/2 and -1/2, written as Phi(-h)^2 plus a one-dimensional
 integral over a finite angle (Drezner & Wesolowsky 1990; Genz 2004)
 whose smooth integrand a fixed Gauss-Legendre rule evaluates to
 rounding. A tabulated density is read as piecewise linear between its
-knots. Its gain-condition masses are exact closed forms per segment;
-g(d) and the moments are still trapezoid sums on a refined grid, which
-limits their accuracy to roughly the grid resolution. Each integral is
+knots. Its gain-condition masses are exact closed forms per segment.
+g(d) and the moments are exact too: between the knots and the knots
+shifted by d, each integrand is a polynomial of degree at most 5, which
+3 Gauss-Legendre nodes per piece integrate to rounding. Each integral is
 taken on the table rescaled by the power of two at or below its width
 and scaled back exactly, so no product of density values over- or
 underflows on a table far from unit width.
@@ -45,6 +46,10 @@ DENOM_FLOOR = 1e-15
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(32)
 _ORTHANT_SIN = np.sin(math.pi / 12.0 * (_GL_X + 1.0))
 _ORTHANT_W = _GL_W / 24.0
+# 3-point Gauss-Legendre rule on [0, 2], exact for polynomials of degree <= 5, as
+# columns: a row of pieces times it gives one row per node
+_PIECE_X, _PIECE_W = np.polynomial.legendre.leggauss(3)
+_PIECE_X, _PIECE_W = _PIECE_X[:, None] + 1.0, _PIECE_W[:, None]
 
 
 # ── error densities ─────────────────────────────────────────────────────
@@ -132,19 +137,31 @@ class ErrorDensity:
 # ── difference density and moments ──────────────────────────────────────
 
 
-def _unit_table(density: ErrorDensity) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
-    """(x, f, c, dense): the table rescaled to (grid_x / c, grid_f * c), for the
-    power of two c at or below its width, and a refined grid over it.
+def _unit_table(density: ErrorDensity) -> tuple[np.ndarray, np.ndarray, float]:
+    """(x, f, c): the table rescaled to (grid_x / c, grid_f * c), for the power
+    of two c at or below its width.
 
     Every tabulated integral is taken on this table, of width in [1, 2), and
     scaled back by a power of c, so no product of density values over- or
-    underflows; a power of two scales exactly, so nothing else changes. The
-    refined grid keeps the trapezoid error below that of the input data.
+    underflows; a power of two scales exactly, so nothing else changes.
     """
     x, f = density.grid_x, density.grid_f
     c = math.ldexp(1.0, math.frexp(float(x[-1] - x[0]))[1] - 1)
-    x, f = x / c, f * c
-    return x, f, c, np.linspace(x[0], x[-1], max(4001, 8 * len(x)))
+    return x / c, f * c, c
+
+
+def _pieces(x: np.ndarray, *shifts: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(mid, t, w): the midpoints of the pieces of [x[0], x[-1]] between the knots
+    ``x`` and ``x - s`` for each shift s, and the nodes and weights of the
+    3-point Gauss-Legendre rule on them, one row per node.
+
+    A piecewise-linear f(t) and f(t + s) are linear on every piece, so a product
+    of up to three of them and of their integrals is integrated exactly.
+    """
+    with np.errstate(over="ignore"):  # a knot shifted beyond the float range is clipped
+        cuts = np.unique(np.clip(np.concatenate([x, *(x - s for s in shifts)]), x[0], x[-1]))
+    half = np.diff(cuts) / 2
+    return cuts[:-1] + half, cuts[:-1] + half * _PIECE_X, half * _PIECE_W
 
 
 def diff_density(density: ErrorDensity, d: float) -> float:
@@ -171,11 +188,11 @@ def diff_density(density: ErrorDensity, d: float) -> float:
     if density.kind == "uniform":
         w = density.upper - density.lower
         return (w - a) / w / w if a < w else 0.0
-    x, f, c, dense = _unit_table(density)
-    fx = np.interp(dense, x, f, left=0.0, right=0.0)
+    x, f, c = _unit_table(density)
+    _, t, w = _pieces(x, a / c)
     with np.errstate(over="ignore"):  # interp at +inf gives the edge value, 0
-        fxa = np.interp(dense + a / c, x, f, left=0.0, right=0.0)
-    return float(np.trapezoid(fx * fxa, dense)) / c
+        shifted = np.interp(t + a / c, x, f, left=0.0, right=0.0)
+    return float(np.sum(w * np.interp(t, x, f) * shifted)) / c
 
 
 def moments(density: ErrorDensity, d: float) -> MomentSet:
@@ -231,24 +248,28 @@ def moments(density: ErrorDensity, d: float) -> MomentSet:
         return MomentSet(above_two, above_two, above_below, above_one)
 
     # probabilities, so the rescaled table's moments need no scaling back
-    x, f, c, dense = _unit_table(density)
+    x, f, c = _unit_table(density)
     d = d / c
-    fx = np.interp(dense, x, f, left=0.0, right=0.0)
-    # the CDF at x, by the trapezoid rule
+    mid, t, w = _pieces(x, d, -d)
+    wf = w * np.interp(t, x, f)
+    # the CDF at the knots, exact for a piecewise-linear density
     cum = np.concatenate(([0.0], np.cumsum(np.diff(x) * (f[1:] + f[:-1]) / 2.0)))
-    cum /= cum[-1]
 
-    def cum_at(t):
-        return np.clip(np.interp(t, x, cum, left=0.0, right=1.0), 0.0, 1.0)
+    def cdf(shift):
+        # at t + shift, from the knot at or below its piece, the trapezoid under the
+        # line to f(t + shift): no knot lies within a shifted piece
+        k = np.maximum(np.searchsorted(x, mid + shift, side="right") - 1, 0)
+        s = np.clip(t + shift, x[0], x[-1])
+        return np.clip((cum[k] + (s - x[k]) * (f[k] + np.interp(s, x, f)) / 2) / cum[-1], 0.0, 1.0)
 
-    with np.errstate(over="ignore"):  # interp at +-inf gives the edge value, 0 or 1
-        lo_t = cum_at(dense - d)
-        hi_t = 1.0 - cum_at(dense + d)
+    with np.errstate(over="ignore"):  # a shift beyond the float range is clipped to the table
+        lo_t = cdf(-d)
+        hi_t = 1.0 - cdf(d)
     return MomentSet(
-        above_two=float(np.trapezoid(fx * lo_t**2, dense)),
-        below_two=float(np.trapezoid(fx * hi_t**2, dense)),
-        above_below=float(np.trapezoid(fx * lo_t * hi_t, dense)),
-        above_one=float(np.trapezoid(fx * lo_t, dense)),
+        above_two=float(np.sum(wf * lo_t**2)),
+        below_two=float(np.sum(wf * hi_t**2)),
+        above_below=float(np.sum(wf * lo_t * hi_t)),
+        above_one=float(np.sum(wf * lo_t)),
     )
 
 
@@ -410,7 +431,7 @@ def power_gain_condition(density: ErrorDensity) -> GainCondition:
     else:
         # the masses of the table rescaled by c (see _unit_table), segment by
         # segment from f = a to f = b over a width h
-        x, f, scale, _ = _unit_table(density)
+        x, f, scale = _unit_table(density)
         h, a, b = np.diff(x), f[:-1], f[1:]
         # the rescaling can underflow distinct knots to one: a flat segment there
         # adds nothing, a step has no square-integrable derivative

@@ -381,16 +381,14 @@ class TestRankScores:
 
     def assert_counts(self, values, orders, rule, merges):
         """_rank_scores of values[orders] gives the lag kernel's s as up - down and
-        its scoring pairs as up + down, in int64, after ``merges`` merged rows;
-        counting both sides and, under a symmetric rule, the +1 side alone."""
-        rank, low, high = core._rank_bounds(values, rule)
+        its scoring pairs as up + down, in int64, after ``merges`` merged rows."""
+        rank, _, *bounds = core._rank_bounds(values, rule)
         s, scoring = lag_kernel_counts(values[orders], rule)
-        for given in {None, core._symmetric_scoring(rank, low, rule)}:
-            with mock.patch.object(core, "_merged_pairs", wraps=core._merged_pairs) as merge:
-                up, down = core._rank_scores(rank[orders], low, high, given)
-            assert merge.call_count == merges
-            assert up.dtype == down.dtype == np.int64
-            assert np.array_equal(up - down, s) and np.array_equal(up + down, scoring)
+        with mock.patch.object(core, "_merged_pairs", wraps=core._merged_pairs) as merge:
+            up, down = core._rank_scores(rank[orders], *bounds)
+        assert merge.call_count == merges
+        assert up.dtype == down.dtype == np.int64
+        assert np.array_equal(up - down, s) and np.array_equal(up + down, scoring)
 
     @pytest.mark.parametrize("n", [core._MERGE_MIN_N - 1, core._MERGE_MIN_N, 1499, 1500],
                              ids=[*MERGE_SIDES, "1499", "1500"])
@@ -439,41 +437,49 @@ class TestRankScores:
     @pytest.mark.parametrize("n", [255, 256, 257])
     def test_byte_counters_on_both_sides_of_their_switch(self, n):
         # 128 rows take one lag per step up to n = 256, where the first cell of a
-        # monotone row counts 255 pairs, and two lags per step from 257 on. The
-        # ranks are bytes up to 255 distinct values; from 256 the top bound is 256.
+        # monotone row counts 255 pairs, and two lags per step from 257 on. Every
+        # bound is below the number of distinct values, so the ranks and bounds
+        # are bytes up to 256 distinct values and uint16 from 257.
         values = np.arange(n, dtype=float)
         distinct = np.array([np.arange(n), np.arange(n)[::-1],
                              np.random.default_rng(n).permutation(n)])
         want = [oracle_s(list(values[order])) for order in distinct]
         assert want[:2] == [n * (n - 1) // 2, -n * (n - 1) // 2]
         pick = np.arange(128) % 3
-        rank, low, high = core._rank_bounds(values, LrdRule(d=0.0))
-        up, down = core._rank_scores(rank[distinct[pick]], low, high)
+        rank, _, *bounds = core._rank_bounds(values, LrdRule(d=0.0))
+        with mock.patch.object(np, "take", wraps=np.take) as take:
+            up, down = core._rank_scores(rank[distinct[pick]], *bounds)
+        assert [call.kwargs["out"].dtype for call in take.call_args_list] == \
+            [np.dtype(np.uint8 if n <= 256 else np.uint16)]  # d = 0: one table
         assert (up - down).tolist() == [want[k] for k in pick]
         assert (up + down == n * (n - 1) // 2).all()  # distinct values, d = 0: every pair scores
 
     @pytest.mark.parametrize("n", ROUTE_NS, ids=ROUTE_IDS)
     @pytest.mark.parametrize("m", [1, 2])
     def test_symmetric_rules_count_one_side(self, n, m):
-        # under a symmetric rule the scoring pairs are fixed by the values, so
-        # the merge takes no high bound and the byte loop no >= compare; a
-        # one-directional rule counts both sides on either route
+        # every rule counts only the pairs whose earlier rank is below the later
+        # value's bound, by one compare, and reads the -1 pairs off a total: a
+        # symmetric rule under one table, a one-directional one under two at d > 0
+        # and one at d = 0, where its threshold bound is the ranks; a table is one
+        # merge argument or one byte-loop gather, and no rule compares by >=
         rng = np.random.default_rng(n)
         values = np.round(np.cumsum(rng.normal(size=n)), 1)
         orders = rng.permuted(np.tile(np.arange(n), (m, 1)), axis=1)
         merged = n >= core._MERGE_MIN_N
-        for rule, sides in ((LrdRule(d=0.6), 1), (LrdRule(d=0.0, boundary="lt"), 1),
-                            (LrdRule(d=0.6, direction="positive_only"), 2),
-                            (LrdRule(d=0.6, direction="negative_only"), 2)):
-            rank, low, high = core._rank_bounds(values, rule)
-            scoring = core._symmetric_scoring(rank, low, rule)
-            assert (scoring is None) == (sides == 2)
+        for rule, tables in ((LrdRule(d=0.6), 1), (LrdRule(d=0.0, boundary="lt"), 1),
+                             (LrdRule(d=0.6, direction="positive_only"), 2),
+                             (LrdRule(d=0.6, direction="negative_only"), 2),
+                             (LrdRule(d=0.0, direction="positive_only"), 1),
+                             (LrdRule(d=0.0, boundary="lt", direction="negative_only"), 1)):
+            rank, _, *bounds = core._rank_bounds(values, rule)
             with mock.patch.object(core, "_merged_pairs", wraps=core._merged_pairs) as merge, \
+                    mock.patch.object(np, "take", wraps=np.take) as take, \
                     mock.patch.object(np, "greater_equal", wraps=np.greater_equal) as compare:
-                up, down = core._rank_scores(rank[orders], low, high, scoring)
+                up, down = core._rank_scores(rank[orders], *bounds)
             assert merge.call_count == (m if merged else 0)
-            assert all(len(call.args) == 1 + sides for call in merge.call_args_list)
-            assert (compare.call_count > 0) == (sides == 2 and not merged)
+            assert all(len(call.args) == 1 + tables for call in merge.call_args_list)
+            assert take.call_count == (0 if merged else tables)
+            assert compare.call_count == 0
             assert up.dtype == down.dtype == np.int64
             s, want_scoring = lag_kernel_counts(values[orders], rule)
             assert np.array_equal(up - down, s) and np.array_equal(up + down, want_scoring)
@@ -481,9 +487,8 @@ class TestRankScores:
     @pytest.mark.parametrize("n", [core._MERGE_MIN_N - 1, core._MERGE_MIN_N], ids=MERGE_SIDES)
     def test_a_series_and_its_draws_take_one_route(self, n):
         # pair_counts of one series, its observed row in a permutation test and the
-        # one chunk of its 3 draws are all merged or none is; the callers pass the
-        # symmetric scoring, so a merge counts one side under a symmetric rule and
-        # both under a one-directional one
+        # one chunk of its 3 draws are all merged or none is; a merge counts one
+        # table under a symmetric rule and two under a one-directional one at d > 0
         x = np.round(np.cumsum(np.random.default_rng(7).normal(size=n)), 1)
         for rule, sides in ((LrdRule(d=0.6), 1), (LrdRule(d=0.6, direction="positive_only"), 2)):
             with mock.patch.object(core, "_merged_pairs", wraps=core._merged_pairs) as merge:

@@ -1,6 +1,7 @@
 """Analytic power machinery under contiguous trend alternatives."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -56,6 +57,38 @@ def quadrature_moments(sigma, d):
         integrate.quad(fn, -np.inf, np.inf, epsabs=1e-12, epsrel=1e-12, limit=200)[0]
         for fn in integrands
     )
+
+
+# two tables with their CDFs in closed form: the triangle 1 - |x| and a
+# trapezoid flat on [-1, 1]
+TRIANGLE = ([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0],
+            lambda t: (1 + t) ** 2 / 2 if t < 0 else 1 - (1 - t) ** 2 / 2)
+TRAPEZOID = ([-2.0, -1.0, 1.0, 2.0], [0.0, 1 / 3, 1 / 3, 0.0],
+             lambda t: (t + 2) ** 2 / 6 if t < -1 else (2 * t + 3) / 6 if t < 1
+             else 1 - (2 - t) ** 2 / 6)
+
+
+def piecewise_oracle(x, f, cdf, d):
+    """(g(d), above_two, below_two, above_below, above_one) of a table, by
+    adaptive quadrature split at the knots and the knots shifted by d, with
+    the table's CDF in closed form."""
+
+    def pdf(t):
+        return float(np.interp(t, x, f, left=0.0, right=0.0))
+
+    def cum(t):
+        return 0.0 if t <= x[0] else 1.0 if t >= x[-1] else cdf(t)
+
+    points = sorted({k + s for k in x for s in (0.0, d, -d) if x[0] < k + s < x[-1]})
+    integrands = (
+        lambda t: pdf(t) * pdf(t + d),
+        lambda t: pdf(t) * cum(t - d) ** 2,
+        lambda t: pdf(t) * (1.0 - cum(t + d)) ** 2,
+        lambda t: pdf(t) * cum(t - d) * (1.0 - cum(t + d)),
+        lambda t: pdf(t) * cum(t - d),
+    )
+    return tuple(integrate.quad(fn, x[0], x[-1], points=points, epsabs=1e-14, epsrel=1e-12,
+                                limit=200)[0] for fn in integrands)
 
 
 def tabulated_normal(sigma=1.0, span=9.0, points=4001):
@@ -163,6 +196,17 @@ class TestMoments:
             got = flags.mean()
             se = math.sqrt(got * (1 - got) / n_samples)
             assert abs(got - want) < 4 * se
+
+    @pytest.mark.parametrize("table", [TRIANGLE, TRAPEZOID], ids=["triangle", "trapezoid"])
+    def test_piecewise_linear_tables_are_exact(self, table):
+        # a table is read as piecewise linear, and g(d) and the moments are its
+        # exact integrals
+        density = ErrorDensity.tabulated(*table[:2])
+        for d in (0.0, 0.1, 0.3, 0.5, 0.7, 1.0, 1.5, 2.5, 4.5):
+            m = moments(density, d)
+            got = (diff_density(density, d), m.above_two, m.below_two, m.above_below, m.above_one)
+            assert got == pytest.approx(piecewise_oracle(*table, d), rel=1e-13, abs=1e-15), d
+        assert astuple(moments(density, 0.0)) == pytest.approx(astuple(NULL_MOMENTS), rel=1e-15)
 
     def test_tabulated_close_to_exact(self):
         exact = moments(ErrorDensity.normal(1.0), 0.5)
